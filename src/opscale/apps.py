@@ -21,11 +21,13 @@ the solver's balance factors respect the problem's symmetry:
   approximately q, solving the Schur-Horn inverse problem.
 
 Each solver raises ScalingFailure when the underlying scaling run does
-not reach SUCCESS, and InfeasibleInstance when a priori certificates
-(pattern conditions, trace identities, majorization) already rule the
-instance out.  The combinatorial feasibility tests (rc_feasible,
-polymatroid_membership) enumerate subsets and are intended for small
-instances; they refuse to run past 20 index positions.
+not reach SUCCESS; the solution or the failure carries the operator
+instance (cpmap, spec) that was solved.  InfeasibleInstance is raised
+when a priori certificates (pattern conditions, trace identities,
+majorization) already rule the instance out.  The combinatorial
+feasibility tests (rc_feasible, polymatroid_membership) enumerate subsets
+and are intended for small instances; they refuse to run past 20 index
+positions.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _run(T, M, epsilon, seed, max_iterations):
                           max_iterations=max_iterations)
     result = general_scale(T, M, config)
     if not result.success:
-        raise ScalingFailure(result.status, result)
+        raise ScalingFailure(result.status, result, cpmap=T, spec=M)
     return result
 
 
@@ -126,6 +128,8 @@ class MatrixScalingSolution:
     col_scale: np.ndarray
     scaled_matrix: np.ndarray
     result: object
+    cpmap: CPMap
+    spec: MarginalSpec
 
 
 def build_matrix_cpmap(A):
@@ -191,8 +195,8 @@ def matrix_scale(instance, epsilon, seed=0, max_iterations=None):
     X = np.abs(np.diag(result.pair.g)) ** 2 * r
     Y = np.abs(np.diag(result.pair.h)) ** 2 * c
     B = X[:, None] * A * Y[None, :]
-    return MatrixScalingSolution(row_scale=X, col_scale=Y,
-                                 scaled_matrix=B, result=result)
+    return MatrixScalingSolution(row_scale=X, col_scale=Y, scaled_matrix=B,
+                                 result=result, cpmap=T, spec=M)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +237,8 @@ class HornSolution:
 
     matrices: tuple
     result: object
+    cpmap: CPMap
+    spec: MarginalSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +306,7 @@ def horn_solve(instance, epsilon, seed=0, max_iterations=None):
         hi = h[i * m:(i + 1) * m, i * m:(i + 1) * m]
         Bi = g.conj().T @ hi @ np.diag(np.sqrt(instance.spectra[i]))
         matrices.append(hermitian_part(Bi @ Bi.conj().T))
-    return HornSolution(matrices=tuple(matrices), result=result)
+    return HornSolution(matrices=tuple(matrices), result=result, cpmap=T, spec=M)
 
 
 def horn_normalize(alpha, beta, gamma):
@@ -389,6 +395,8 @@ class ForsterSolution:
     transform: np.ndarray
     vectors: np.ndarray
     result: object
+    cpmap: CPMap
+    spec: MarginalSpec
 
 
 def build_forster_cpmap(U):
@@ -454,7 +462,7 @@ def forster_scale(instance, epsilon, seed=0, max_iterations=None):
     B = np.diag(np.sqrt(q).astype(np.complex128)) @ result.pair.g.conj().T
     W = B @ U
     W = W / np.linalg.norm(W, axis=0)
-    return ForsterSolution(transform=B, vectors=W, result=result)
+    return ForsterSolution(transform=B, vectors=W, result=result, cpmap=T, spec=M)
 
 
 @dataclass(frozen=True, eq=False)

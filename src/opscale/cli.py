@@ -35,9 +35,6 @@ from .apps import (
     ForsterInstance,
     HornInstance,
     MatrixScalingInstance,
-    build_forster_cpmap,
-    build_horn_cpmap,
-    build_matrix_cpmap,
     forster_scale,
     horn_normalize,
     horn_solve,
@@ -290,12 +287,10 @@ def dumps_report(report):
 
 
 def _marginal_errors(T, M, pair):
-    scaled = cpmap.scale(T, pair)
-    primal = cpmap.apply(scaled, M.P) - np.eye(M.m)
-    dual = cpmap.dual_apply(scaled, M.Q) - np.eye(M.n)
+    primal, dual = cpmap.marginals(cpmap.scale(T, pair), M)
     return {
-        "primal": float(np.linalg.norm(primal)),
-        "dual": float(np.linalg.norm(dual)),
+        "primal": float(np.linalg.norm(primal - np.eye(M.m))),
+        "dual": float(np.linalg.norm(dual - np.eye(M.n))),
     }
 
 
@@ -354,30 +349,36 @@ def _cmd_check(args, inst):
     return report, _EXIT_CODES.get(verdict.verdict, 2), verdict.result
 
 
+def _run_app(args, solve, instance):
+    """Run an app solver: (report, solution or None on failure, result).
+
+    The report holds the result fields for the operator instance the app
+    solved, which the solution (or its ScalingFailure) carries.
+    """
+    report = {"command": args.command, "kind": args.command, "seed": args.seed}
+    try:
+        sol = solve(instance, args.epsilon, seed=args.seed,
+                    max_iterations=args.max_iters)
+    except ScalingFailure as err:
+        report.update(_result_fields(err.result, err.cpmap, err.spec))
+        return report, None, err.result
+    report.update(_result_fields(sol.result, sol.cpmap, sol.spec))
+    return report, sol, sol.result
+
+
 def _cmd_matscale(args, inst):
     instance = inst["instance"]
-    T = build_matrix_cpmap(instance.matrix)
-    M = MarginalSpec(instance.col_sums, instance.row_sums,
-                     (1,) * instance.col_sums.size,
-                     (1,) * instance.row_sums.size)
-    try:
-        sol = matrix_scale(instance, args.epsilon, seed=args.seed,
-                           max_iterations=args.max_iters)
-    except ScalingFailure as err:
-        report = {"command": "matscale", "kind": "matscale", "seed": args.seed}
-        report.update(_result_fields(err.result, T, M))
-        return report, _EXIT_CODES.get(err.status, 2), err.result
-    B = sol.scaled_matrix
-    report = {"command": "matscale", "kind": "matscale", "seed": args.seed}
-    report.update(_result_fields(sol.result, T, M))
-    report["row_scale"] = sol.row_scale
-    report["col_scale"] = sol.col_scale
-    report["scaled_matrix"] = B
-    report["sum_errors"] = {
-        "row": float(np.max(np.abs(B.sum(axis=1) - instance.row_sums))),
-        "col": float(np.max(np.abs(B.sum(axis=0) - instance.col_sums))),
-    }
-    return report, _EXIT_CODES.get(sol.result.status, 2), sol.result
+    report, sol, result = _run_app(args, matrix_scale, instance)
+    if sol is not None:
+        B = sol.scaled_matrix
+        report["row_scale"] = sol.row_scale
+        report["col_scale"] = sol.col_scale
+        report["scaled_matrix"] = B
+        report["sum_errors"] = {
+            "row": float(np.max(np.abs(B.sum(axis=1) - instance.row_sums))),
+            "col": float(np.max(np.abs(B.sum(axis=0) - instance.col_sums))),
+        }
+    return report, _EXIT_CODES.get(result.status, 2), result
 
 
 def _cmd_horn(args, inst):
@@ -387,50 +388,31 @@ def _cmd_horn(args, inst):
         alpha, beta, gamma = inst["abc"]
         normalization = horn_normalize(alpha, beta, gamma)
         instance = normalization.instance
-    T = build_horn_cpmap(instance.m, instance.s)
-    M = MarginalSpec(np.concatenate(instance.spectra),
-                     np.ones(instance.m),
-                     (instance.m,) * instance.s, (instance.m,))
-    report = {"command": "horn", "kind": "horn", "seed": args.seed}
-    try:
-        sol = horn_solve(instance, args.epsilon, seed=args.seed,
-                         max_iterations=args.max_iters)
-    except ScalingFailure as err:
-        report.update(_result_fields(err.result, T, M))
-        return report, _EXIT_CODES.get(err.status, 2), err.result
-    report.update(_result_fields(sol.result, T, M))
-    report["matrices"] = [_complex_mat(H) for H in sol.matrices]
-    total = sum(sol.matrices) - np.eye(instance.m)
-    report["sum_error"] = float(np.linalg.norm(total))
-    if normalization is not None:
-        u, v, w = normalization.shifts
-        report["normalization"] = {"shifts": [u, v, w],
-                                   "scale": normalization.scale}
-        A, B, C = normalization.invert(sol.matrices)
-        report["recovered"] = {"A": A, "B": B, "C": C}
-    return report, _EXIT_CODES.get(sol.result.status, 2), sol.result
+    report, sol, result = _run_app(args, horn_solve, instance)
+    if sol is not None:
+        report["matrices"] = [_complex_mat(H) for H in sol.matrices]
+        total = sum(sol.matrices) - np.eye(instance.m)
+        report["sum_error"] = float(np.linalg.norm(total))
+        if normalization is not None:
+            u, v, w = normalization.shifts
+            report["normalization"] = {"shifts": [u, v, w],
+                                       "scale": normalization.scale}
+            A, B, C = normalization.invert(sol.matrices)
+            report["recovered"] = {"A": A, "B": B, "C": C}
+    return report, _EXIT_CODES.get(result.status, 2), result
 
 
 def _cmd_forster(args, inst):
     instance = inst["instance"]
-    T = build_forster_cpmap(instance.vectors)
-    M = MarginalSpec(instance.weights, instance.spectrum,
-                     (1,) * instance.n, (instance.m,))
-    report = {"command": "forster", "kind": "forster", "seed": args.seed}
-    try:
-        sol = forster_scale(instance, args.epsilon, seed=args.seed,
-                            max_iterations=args.max_iters)
-    except ScalingFailure as err:
-        report.update(_result_fields(err.result, T, M))
-        return report, _EXIT_CODES.get(err.status, 2), err.result
-    report.update(_result_fields(sol.result, T, M))
-    report["transform"] = sol.transform
-    report["vectors"] = sol.vectors
-    gram = (sol.vectors * instance.weights[None, :]) @ sol.vectors.conj().T
-    report["isotropy_error"] = float(
-        np.linalg.norm(gram - np.diag(instance.spectrum))
-    )
-    return report, _EXIT_CODES.get(sol.result.status, 2), sol.result
+    report, sol, result = _run_app(args, forster_scale, instance)
+    if sol is not None:
+        report["transform"] = sol.transform
+        report["vectors"] = sol.vectors
+        gram = (sol.vectors * instance.weights[None, :]) @ sol.vectors.conj().T
+        report["isotropy_error"] = float(
+            np.linalg.norm(gram - np.diag(instance.spectrum))
+        )
+    return report, _EXIT_CODES.get(result.status, 2), result
 
 
 def _cmd_schurhorn(args, inst):

@@ -9,14 +9,19 @@ A_1, ..., A_r (all m x n):
 Scaling by an invertible pair (g, h) replaces every A_i by g^dag A_i h,
 i.e. T_{g,h}(X) = g^dag T(h X h^dag) g.
 
+For diagonal targets each marginal is one product over the (r, m, n)
+Kraus stack: T(P) = B B^dag with B = [A_1 sqrt(P) | ... | A_r sqrt(P)],
+and T*(Q) = V^dag V with V = [sqrt(Q) A_1; ...; sqrt(Q) A_r].
+
 The balancing primitive used by every solver finds, for positive definite
-S, the upper-triangular g with g^dag S g = I (a reversed Cholesky
-factorization); when S is block-diagonal the factor is block-diagonal with
-upper-triangular blocks.
+S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
+Cholesky factor L of S masked to its diagonal blocks, so g is
+block-diagonal with upper-triangular blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +119,12 @@ def _block_slices(blocks):
     return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
 
 
+def _block_mask(blocks):
+    """(d, d) boolean mask selecting the diagonal blocks of the given sizes."""
+    ids = np.repeat(np.arange(len(blocks)), blocks)
+    return ids[:, None] == ids[None, :]
+
+
 @dataclass(frozen=True, eq=False)
 class MarginalSpec:
     """Target spectra for the two marginals.
@@ -136,6 +147,10 @@ class MarginalSpec:
         q = np.array(q, dtype=np.float64)
         if p.ndim != 1 or q.ndim != 1 or p.size == 0 or q.size == 0:
             raise ValueError("p and q must be nonempty vectors")
+        # A non-finite entry or an overflowing total makes the sum non-finite
+        # (Python float sums overflow to inf without a warning).
+        if not (math.isfinite(sum(p.tolist())) and math.isfinite(sum(q.tolist()))):
+            raise ValueError("spectra and their totals must be finite")
         if np.any(p < 0) or np.any(q < 0):
             raise ValueError("spectra must be nonnegative")
         p_blocks = _check_blocks(p_blocks if p_blocks is not None else (p.size,),
@@ -244,28 +259,27 @@ def scale(T, pair):
     return CPMap([gd @ A @ h for A in T.kraus])
 
 
+def _stacked_marginals(K, p, q):
+    """(T(diag p), T*(diag q)) for the (r, m, n) Kraus stack K, one GEMM each."""
+    r, m, n = K.shape
+    B = (K * np.sqrt(p)).transpose(1, 0, 2).reshape(m, r * n)
+    V = (np.sqrt(q)[:, None] * K).reshape(r * m, n)
+    return hermitian_part(B @ B.conj().T), hermitian_part(V.conj().T @ V)
+
+
 def marginals(T, M):
     """Return the pair (T(P), T*(Q)) for P = diag(p), Q = diag(q)."""
     if M.n != T.n or M.m != T.m:
         raise ValueError(
             f"marginal spec ({M.m}, {M.n}) does not match map ({T.m}, {T.n})"
         )
-    return apply(T, M.P), dual_apply(T, M.Q)
+    return _stacked_marginals(np.stack(T.kraus), M.p, M.q)
 
 
 def singular_floor(S):
     """Positive-definiteness cutoff: 1e-12 * trace(S) / dim."""
     S = np.asarray(S)
     return 1e-12 * float(np.trace(S).real) / S.shape[0]
-
-
-def _balance_block(S):
-    # g = L^{-dag} for the Cholesky factor S = L L^dag; upper triangular,
-    # positive diagonal, and g^dag S g = L^{-1} S L^{-dag} = I.
-    L = np.linalg.cholesky(S)
-    Linv = scipy.linalg.solve_triangular(L, np.eye(S.shape[0], dtype=np.complex128),
-                                         lower=True)
-    return Linv.conj().T
 
 
 def balance_factor(S, block_sizes=None):
@@ -294,14 +308,14 @@ def balance_factor(S, block_sizes=None):
         raise NotPositiveDefinite(min_eig)
     if block_sizes is None:
         block_sizes = (d,)
-    block_sizes = _check_blocks(block_sizes, d, "block_sizes")
+    mask = _block_mask(_check_blocks(block_sizes, d, "block_sizes"))
     try:
-        blocks = [_balance_block(S[s, s]) for s in _block_slices(block_sizes)]
+        L = np.linalg.cholesky(np.where(mask, S, 0.0))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(min_eig) from None
-    if len(blocks) == 1:
-        return blocks[0]
-    return scipy.linalg.block_diag(*blocks).astype(np.complex128)
+    Linv = scipy.linalg.solve_triangular(L, np.eye(d, dtype=np.complex128),
+                                         lower=True)
+    return Linv.conj().T
 
 
 def convert_pair(pair, M):

@@ -50,9 +50,13 @@ class ScalingFailure(OpscaleError):
         The terminal solver status (ERROR_NOT_PD, ERROR_BUDGET, ...).
     result : ScalingResult or None
         The full solver result when one was produced.
+    cpmap, spec : CPMap, MarginalSpec or None
+        The operator instance the solver ran on, when known.
     """
 
-    def __init__(self, status, result=None, message=None):
+    def __init__(self, status, result=None, message=None, cpmap=None, spec=None):
         self.status = str(status)
         self.result = result
+        self.cpmap = cpmap
+        self.spec = spec
         super().__init__(message or f"scaling failed with status {self.status}")

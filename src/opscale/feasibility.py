@@ -31,11 +31,11 @@ import numpy as np
 
 from .exceptions import DimensionTooLarge
 from .scaler import (
-    ERROR_BUDGET,
     ERROR_NOT_PD,
     SUCCESS,
     ScalingResult,
     SolverConfig,
+    _check_instance,
     general_scale,
 )
 
@@ -52,6 +52,9 @@ __all__ = [
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# Solver statuses with a conclusive verdict; every other one is INCONCLUSIVE.
+_VERDICTS = {SUCCESS: FEASIBLE, ERROR_NOT_PD: INFEASIBLE}
 
 # Dyadic snap used when measuring entry bit lengths (double mantissa).
 _DYADIC_DEN = 2**53
@@ -138,21 +141,9 @@ def decide_scalable(T, M, seed=0, max_iterations=None):
     optional max_iterations caps the solver budget, trading conclusiveness
     for time.
     """
-    gap = abs(M.trace_gap)
-    if gap > 1e-12 * max(1.0, float(M.p.sum())):
-        raise ValueError(
-            f"spectra traces differ by {gap:.3e}; scalability requires "
-            "equal traces"
-        )
+    _check_instance(T, M)
     eps = min(certificate_epsilon(M) / 2.0, 0.5)
     config = SolverConfig(epsilon=eps, seed=seed, max_iterations=max_iterations)
     result = general_scale(T, M, config)
-    if result.status == SUCCESS:
-        verdict = FEASIBLE
-    elif result.status == ERROR_NOT_PD:
-        verdict = INFEASIBLE
-    elif result.status == ERROR_BUDGET:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = INCONCLUSIVE
-    return FeasibilityVerdict(verdict=verdict, epsilon=eps, result=result)
+    return FeasibilityVerdict(verdict=_VERDICTS.get(result.status, INCONCLUSIVE),
+                              epsilon=eps, result=result)

@@ -5,8 +5,11 @@ The determinant of X relative to a nonincreasing weight vector a is
     det(a, X) = prod_j (det X[:j, :j]) ** (a_j - a_{j+1}),   a_{k+1} = 0,
 
 with the convention 0**0 = 1.  Everything here is computed in the log
-domain (sums of weighted log-minors) to keep large or fractional
-exponents from under/overflowing.
+domain to keep large or fractional exponents from under/overflowing.
+log_relative_det is the literal definition, one slogdet per leading
+minor.  For positive definite X = L L^dag the minors telescope to
+log det(a, X) = 2 sum_l a_l log L_ll, which the solver step reads off one
+Cholesky factor (or off the balance factor g = L^{-dag} itself).
 
 ds_{P,Q}(T) measures how far T is from mapping (P -> I_m, Q -> I_n):
 
@@ -14,17 +17,20 @@ ds_{P,Q}(T) measures how far T is from mapping (P -> I_m, Q -> I_n):
        + sum_j dq_j ||corner_j(T(P)  - I_m)||_F^2
 
 where corner_i takes the leading i x i block and dp, dq are the
-successive differences of the spectra.  Since
-ds >= p_min ||T*(Q) - I||^2 + q_min ||T(P) - I||^2, pushing
+successive differences of the spectra; entry (i, j) lies in every
+corner from max(i, j) on, so ds = sum W (.) |dev|^2 with W_ij = a_max(i,j)
+(a = p or q).  Since ds >= p_min ||T*(Q) - I||^2 + q_min ||T(P) - I||^2, pushing
 ds below eps^2 * min(p_min, q_min) certifies an eps-scaling in marginal
 Frobenius norm.  With a block structure the corner sums run inside each
-diagonal block (the flags preserved by block scaling groups).
+diagonal block (the flags preserved by block scaling groups); entries
+outside the blocks are never read.
 
 Capacity cap(T, P, Q) = inf_h det(Q, T(h P h^dag)) / det(P, h^dag h) over
 upper-triangular h.  Each solver step multiplies the capacity by an
 easily computed factor (det of the incremental balance factor), which the
-solvers record in a CapacityTrace; estimate_capacity runs the same
-alternating iteration standalone to produce an upper estimate of cap.
+solvers record in a CapacityTrace.  Both solvers and estimate_capacity
+share one alternating step; estimate_capacity runs it standalone to
+produce an upper estimate of cap.
 """
 
 from __future__ import annotations
@@ -78,13 +84,6 @@ def _leading_minor_logdets(X):
     return signs, logabs
 
 
-def _block_slices(blocks, total):
-    if blocks is None:
-        return [slice(0, total)]
-    stops = np.cumsum(blocks)
-    return [slice(int(e - b), int(e)) for b, e in zip(blocks, stops)]
-
-
 def log_relative_det(a, X, blocks=None):
     """log det(a, X) for Hermitian PSD X; -inf when the value is 0.
 
@@ -97,7 +96,7 @@ def log_relative_det(a, X, blocks=None):
     if X.shape != (a.size, a.size):
         raise ValueError(f"X has shape {X.shape}, expected {(a.size, a.size)}")
     total = 0.0
-    for s in _block_slices(blocks, a.size):
+    for s in cpmap._block_slices(blocks if blocks is not None else (a.size,)):
         seg, B = a[s], X[s, s]
         d = deltas(seg)
         signs, logabs = _leading_minor_logdets(B)
@@ -167,12 +166,12 @@ def rel_det_multiplicativity_check(a, X, h, tol=1e-8):
     return close(lhs1, rhs1) and close(lhs2, rhs2) and close(lhs3, rhs3)
 
 
-def _corner_weighted_sq(dev, seg):
-    """sum_i delta(seg)_i * ||dev[:i,:i]||_F^2 for one diagonal block."""
-    d = deltas(seg)
-    sq = np.abs(dev) ** 2
-    corners = sq.cumsum(axis=0).cumsum(axis=1).diagonal().real
-    return float(np.dot(d, corners))
+def _flag_weighted_sq(dev, a, blocks):
+    """sum of a_max(i,j) |dev_ij|^2 over the entries inside the blocks."""
+    mask = cpmap._block_mask(blocks)
+    idx = np.arange(a.size)
+    weights = a[np.maximum.outer(idx, idx)[mask]]
+    return float(np.dot(weights, np.abs(dev[mask]) ** 2))
 
 
 def ds_from_marginals(primal, dual, M):
@@ -181,14 +180,8 @@ def ds_from_marginals(primal, dual, M):
     dual = np.asarray(dual, dtype=np.complex128)
     if dual.shape != (M.n, M.n) or primal.shape != (M.m, M.m):
         raise ValueError("marginal shapes do not match the spec")
-    total = 0.0
-    for s in M.p_slices():
-        dev = dual[s, s] - np.eye(s.stop - s.start)
-        total += _corner_weighted_sq(dev, M.p[s])
-    for s in M.q_slices():
-        dev = primal[s, s] - np.eye(s.stop - s.start)
-        total += _corner_weighted_sq(dev, M.q[s])
-    return total
+    return (_flag_weighted_sq(dual - np.eye(M.n), M.p, M.p_blocks)
+            + _flag_weighted_sq(primal - np.eye(M.m), M.q, M.q_blocks))
 
 
 def ds_distance(T, M):
@@ -274,46 +267,63 @@ class CapacityEstimate:
     steps: int
 
 
+def _log_det(a, X, blocks):
+    """log det(a, X) from one Cholesky of the block-masked X; -inf if not PD."""
+    try:
+        L = np.linalg.cholesky(np.where(cpmap._block_mask(blocks), X, 0.0))
+    except np.linalg.LinAlgError:
+        return -math.inf
+    return 2.0 * float(np.dot(a, np.log(L.diagonal().real)))
+
+
+def _alternating_step(K, primal, dual, M, j):
+    """Step j of the alternating iteration on the (r, m, n) Kraus stack K.
+
+    Even steps balance T(P) against q, odd steps T*(Q) against p.  Returns
+    (balance factor, rescaled K, log capacity-change factor
+    -log det(a, target), log det(a, balanced target) ~ 0); raises
+    NotPositiveDefinite when the target cannot be balanced.
+    """
+    output = j % 2 == 0
+    target, a, blocks = ((primal, M.q, M.q_blocks) if output
+                         else (dual, M.p, M.p_blocks))
+    inc = cpmap.balance_factor(target, blocks)
+    log_factor = 2.0 * float(np.dot(a, np.log(inc.diagonal().real)))
+    upper = _log_det(a, inc.conj().T @ target @ inc, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = inc.conj().T @ K if output else K @ inc
+    return inc, K, log_factor, upper
+
+
 def estimate_capacity(T, M, budget=200, log_floor=_MINOR_FLOOR_LOG):
     """Upper estimate of cap(T, P, Q) via the alternating iteration itself.
 
-    Runs the same balance-alternation as the triangular solver and tracks
-    est_j = v_j - cum_j, where v_j = log det(Q, T_j(P)) is the capacity
-    objective of the current scaled map at h = I and cum_j the summed log
-    change factors; cap(T) <= exp(est_j) for every j, with equality in
-    the limit when the iteration converges.  Returns a 0-flagged estimate
-    when a balance target stops being positive definite or the estimate
-    falls below `log_floor` (capacity vanishing on the PSD boundary).
+    Runs the solvers' alternating step and tracks est_j = v_j - cum_j,
+    where v_j = log det(Q, T_j(P)) is the capacity objective of the
+    current scaled map at h = I and cum_j the summed log change factors;
+    cap(T) <= exp(est_j) for every j, with equality in the limit when the
+    iteration converges.  Returns a 0-flagged estimate when a balance
+    target stops being positive definite or the estimate falls below
+    `log_floor` (capacity vanishing on the PSD boundary).
 
     Requires strictly positive spectra.
     """
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
-    P, Q = M.P, M.Q
-    kraus = list(T.kraus)
+    K = np.stack(T.kraus)
     cum = 0.0
     best = math.inf
     for j in range(int(budget) + 1):
-        cur = cpmap.CPMap(kraus)
-        primal = cpmap.apply(cur, P)
-        v = log_relative_det(M.q, primal, M.q_blocks)
-        est = v - cum
-        best = min(best, est)
+        primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
+        best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
         if best <= log_floor:
             return CapacityEstimate(0.0, -math.inf, True, j)
         if j == budget:
             break
         try:
-            if j % 2 == 0:
-                balance = cpmap.balance_factor(primal, M.q_blocks)
-                cum += -v
-                kraus = [balance.conj().T @ A for A in kraus]
-            else:
-                dual = cpmap.dual_apply(cur, Q)
-                balance = cpmap.balance_factor(dual, M.p_blocks)
-                cum += -log_relative_det(M.p, dual, M.p_blocks)
-                kraus = [A @ balance for A in kraus]
+            _, K, log_factor, _ = _alternating_step(K, primal, dual, M, j)
         except NotPositiveDefinite:
             return CapacityEstimate(0.0, -math.inf, True, j)
+        cum += log_factor
     value = math.exp(best) if best > _MINOR_FLOOR_LOG else 0.0
     return CapacityEstimate(value, best, False, int(budget))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +38,9 @@ from .cpmap import CPMap, MarginalSpec, ScalingPair
 from .exceptions import AllZeroSpectrum, NotPositiveDefinite
 from .relmetrics import (
     CapacityTrace,
+    _alternating_step,
     ds_from_marginals,
     ds_threshold,
-    log_relative_det,
 )
 
 __all__ = [
@@ -71,7 +71,12 @@ _FACTOR_CAP = 1e100
 
 def hard_cap():
     """Global iteration ceiling, from OPSCALE_HARD_CAP (default 10^6)."""
-    return int(os.environ.get("OPSCALE_HARD_CAP", 10**6))
+    raw = os.environ.get("OPSCALE_HARD_CAP", "1000000")
+    if not raw.strip().isdecimal():
+        raise ValueError(
+            f"OPSCALE_HARD_CAP must be a nonnegative integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -163,13 +168,9 @@ class SupportEmbedding:
         return self._embed(h, self.p_mask, fill)
 
 
-def _restricted_blocks(blocks, mask, slices):
-    kept = []
-    for s in slices:
-        cnt = int(mask[s].sum())
-        if cnt:
-            kept.append(cnt)
-    return tuple(kept)
+def _restricted_blocks(mask, slices):
+    counts = (int(mask[s].sum()) for s in slices)
+    return tuple(c for c in counts if c)
 
 
 def project_to_support(T, M):
@@ -189,8 +190,8 @@ def project_to_support(T, M):
     Mr = MarginalSpec(
         M.p[p_mask],
         M.q[q_mask],
-        _restricted_blocks(M.p_blocks, p_mask, M.p_slices()),
-        _restricted_blocks(M.q_blocks, q_mask, M.q_slices()),
+        _restricted_blocks(p_mask, M.p_slices()),
+        _restricted_blocks(q_mask, M.q_slices()),
     )
     return Tr, Mr, emb
 
@@ -240,7 +241,7 @@ def _check_shapes(T, M):
 
 def _check_instance(T, M):
     _check_shapes(T, M)
-    if abs(M.trace_gap) > 1e-12 * max(1.0, float(M.p.sum())):
+    if not M.trace_gap <= 1e-12 * max(1.0, float(M.p.sum())):
         raise ValueError(
             f"spectra traces differ (gap {M.trace_gap:.3e}); "
             "equal traces are necessary for any exact scaling"
@@ -261,25 +262,23 @@ def _resolve_budget(T, M, config, mode):
     return budget, -10.0 * b
 
 
-def _alternate(T, M, epsilon, budget):
+def _alternate(T, M, config, budget, log_lb):
     """Core loop on a positive-spectrum instance; normalized units inside.
 
-    Returns (status, g, h_hat, steps, ds_hat_list, trace, min_eig, s).
+    Runs the shared alternating step on a Kraus stack built once and
+    returns the ScalingResult in original units.
     """
     Mhat, s = M.normalized()
-    P, Q = Mhat.P, Mhat.Q
-    thresh = ds_threshold(epsilon, Mhat)
+    thresh = ds_threshold(config.epsilon, Mhat)
+    K = np.stack(T.kraus)
     g = np.eye(T.m, dtype=np.complex128)
     h = np.eye(T.n, dtype=np.complex128)
-    kraus = list(T.kraus)
     ds_list = []
-    trace = CapacityTrace()
+    trace = CapacityTrace(log_lower_bound=log_lb)
     steps = 0
     min_eig = None
     while True:
-        cur = CPMap(kraus)
-        primal = cpmap.apply(cur, P)
-        dual = cpmap.dual_apply(cur, Q)
+        primal, dual = cpmap._stacked_marginals(K, Mhat.p, Mhat.q)
         ds_list.append(ds_from_marginals(primal, dual, Mhat))
         if ds_list[-1] <= thresh:
             status = SUCCESS
@@ -293,19 +292,14 @@ def _alternate(T, M, epsilon, budget):
         if steps >= budget:
             status = ERROR_BUDGET
             break
-        if steps % 2 == 0:
-            target, a, blocks = primal, Mhat.q, Mhat.q_blocks
-        else:
-            target, a, blocks = dual, Mhat.p, Mhat.p_blocks
         try:
-            inc = cpmap.balance_factor(target, blocks)
+            inc, K, log_factor, upper = _alternating_step(K, primal, dual,
+                                                          Mhat, steps)
         except NotPositiveDefinite as err:
             status = ERROR_NOT_PD
             min_eig = err.min_eigenvalue
             break
-        log_factor = -log_relative_det(a, target, blocks)
-        balanced = inc.conj().T @ target @ inc
-        trace.append(log_factor, log_relative_det(a, balanced, blocks))
+        trace.append(log_factor, upper)
         # On an infeasible instance the accumulated factors diverge (even
         # while the iterated marginals stay bounded); stop once they leave
         # the comfortably representable range, keeping the current factors
@@ -314,26 +308,19 @@ def _alternate(T, M, epsilon, budget):
         with np.errstate(over="ignore", invalid="ignore"):
             if steps % 2 == 0:
                 new_g, new_h = g @ inc, h
-                kraus = [inc.conj().T @ K for K in kraus]
             else:
                 new_g, new_h = g, h @ inc
-                kraus = [K @ inc for K in kraus]
         if not (np.linalg.norm(new_g) < _FACTOR_CAP
                 and np.linalg.norm(new_h) < _FACTOR_CAP):
             status = ERROR_BUDGET
             break
         g, h = new_g, new_h
         steps += 1
-    return status, g, h, steps, ds_list, trace, min_eig, s
-
-
-def _package(M, config, status, g, h_hat, steps, ds_hat, trace, min_eig, s, log_lb):
-    trace.log_lower_bound = log_lb
     return ScalingResult(
-        pair=ScalingPair(g, h_hat / math.sqrt(s)),
+        pair=ScalingPair(g, h / math.sqrt(s)),
         status=status,
         iterations=steps,
-        ds_trace=tuple(s * d for d in ds_hat),
+        ds_trace=tuple(s * d for d in ds_list),
         threshold=ds_threshold(config.epsilon, M),
         epsilon=config.epsilon,
         capacity_trace=trace,
@@ -349,12 +336,7 @@ def triangular_scale(T, M, config):
             "triangular_scale needs strictly positive spectra; "
             "project to the support (or call general_scale) first"
         )
-    budget, log_lb = _resolve_budget(T, M, config, "triangular")
-    status, g, h_hat, steps, ds_hat, trace, min_eig, s = _alternate(
-        T, M, config.epsilon, budget
-    )
-    return _package(M, config, status, g, h_hat, steps, ds_hat, trace,
-                    min_eig, s, log_lb)
+    return _alternate(T, M, config, *_resolve_budget(T, M, config, "triangular"))
 
 
 def _block_gaussian(rng, slices, dim):
@@ -373,10 +355,9 @@ def _comfortably_invertible(mat):
 
 def _converted_errors(T, M, g2, h2):
     """Frobenius errors of (I_n -> Q, I_m -> P) for the converted pair."""
-    kraus = [g2.conj().T @ A @ h2 for A in T.kraus]
-    out_dev = sum(K @ K.conj().T for K in kraus) - M.Q
-    in_dev = sum(K.conj().T @ K for K in kraus) - M.P
-    return float(np.linalg.norm(out_dev)), float(np.linalg.norm(in_dev))
+    K = g2.conj().T @ np.stack(T.kraus) @ h2
+    out, inp = cpmap._stacked_marginals(K, np.ones(T.n), np.ones(T.m))
+    return float(np.linalg.norm(out - M.Q)), float(np.linalg.norm(inp - M.P))
 
 
 def _lift_with_fill(T, M, Tr, Mr, pair_r, emb):
@@ -434,22 +415,9 @@ def general_scale(T, M, config):
             epsilon=config.epsilon,
             capacity_trace=CapacityTrace(log_lower_bound=log_lb),
         )
-    T1 = cpmap.scale(Tr, ScalingPair(g0, h0))
-    status, g, h_hat, steps, ds_hat, trace, min_eig, s = _alternate(
-        T1, Mr, config.epsilon, budget
-    )
-    res_r = _package(Mr, config, status, g0 @ g, h0 @ h_hat, steps, ds_hat,
-                     trace, min_eig, s, log_lb)
+    res = _alternate(cpmap.scale(Tr, ScalingPair(g0, h0)), Mr, config,
+                     budget, log_lb)
+    res = replace(res, pair=ScalingPair(g0 @ res.pair.g, h0 @ res.pair.h))
     if emb.full:
-        return res_r
-    pair = _lift_with_fill(T, M, Tr, Mr, res_r.pair, emb)
-    return ScalingResult(
-        pair=pair,
-        status=res_r.status,
-        iterations=res_r.iterations,
-        ds_trace=res_r.ds_trace,
-        threshold=ds_threshold(config.epsilon, M),
-        epsilon=config.epsilon,
-        capacity_trace=res_r.capacity_trace,
-        min_eigenvalue=res_r.min_eigenvalue,
-    )
+        return res
+    return replace(res, pair=_lift_with_fill(T, M, Tr, Mr, res.pair, emb))

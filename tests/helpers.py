@@ -107,17 +107,29 @@ def ras_scale(A, r, c, iters=200000, tol=1e-13):
     return S
 
 
+def _corners_literal(X, a):
+    """sum_i (a_i - a_{i+1}) ||(X - I)[:i, :i]||_F^2 with a_{k+1} = 0."""
+    dev = X - np.eye(X.shape[0])
+    total = 0.0
+    for i in range(len(a)):
+        delta = a[i] - (a[i + 1] if i + 1 < len(a) else 0.0)
+        corner = dev[: i + 1, : i + 1]
+        total += delta * np.linalg.norm(corner, "fro") ** 2
+    return total
+
+
 def ds_literal(primal, dual, p, q):
     """Independent transcription of the flag-weighted squared distance."""
+    return _corners_literal(dual, p) + _corners_literal(primal, q)
+
+
+def ds_literal_blocks(primal, dual, M):
+    """ds_literal run inside each diagonal block of the spec's structure."""
     total = 0.0
-    devd = dual - np.eye(dual.shape[0])
-    for i in range(len(p)):
-        delta = p[i] - (p[i + 1] if i + 1 < len(p) else 0.0)
-        corner = devd[: i + 1, : i + 1]
-        total += delta * np.linalg.norm(corner, "fro") ** 2
-    devp = primal - np.eye(primal.shape[0])
-    for j in range(len(q)):
-        delta = q[j] - (q[j + 1] if j + 1 < len(q) else 0.0)
-        corner = devp[: j + 1, : j + 1]
-        total += delta * np.linalg.norm(corner, "fro") ** 2
+    for X, a, blocks in ((dual, M.p, M.p_blocks), (primal, M.q, M.q_blocks)):
+        start = 0
+        for b in blocks:
+            s = slice(start, start + b)
+            total += _corners_literal(X[s, s], a[s])
+            start += b
     return total

@@ -289,6 +289,30 @@ class TestMainErrors:
         assert main(["matscale", path]) == 3
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p, q", [
+        ("[NaN, 0.5]", "[1.0, 0.5]"),
+        ("[1e400, 0.5]", "[1.0, 0.5]"),
+        ("[1e308, 1e308]", "[1e308, 1e308]"),
+    ])
+    def test_non_finite_spectra_exit_three(self, tmp_path, capsys, p, q):
+        kraus = json.dumps(TRIANGULAR_CPMAP["kraus"])
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"kind": "cpmap", "kraus": {kraus}, '
+                        f'"p": {p}, "q": {q}}}')
+        assert main(["scale", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "finite" in out.err and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+    def test_bad_hard_cap_exit_three(self, tmp_path, capsys, monkeypatch,
+                                     value):
+        monkeypatch.setenv("OPSCALE_HARD_CAP", value)
+        path = write_instance(tmp_path, TRIANGULAR_CPMAP)
+        assert main(["scale", path, "--epsilon", "0.05"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "OPSCALE_HARD_CAP" in out.err
+
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3
         assert "error" in capsys.readouterr().err

@@ -177,6 +177,16 @@ class TestSpecsAndPairs:
         npt.assert_allclose(Mhat.p, [0.6, 0.4])
         npt.assert_allclose(Mhat.q, [0.75, 0.25])
 
+    @pytest.mark.parametrize("p, q", [
+        ([np.nan, 0.5], [1.0, 0.5]),
+        ([np.inf, 0.5], [1.0, 0.5]),
+        ([1.0, 0.5], [1.0, -np.inf]),
+        ([1e308, 1e308], [1e308, 1e308]),
+    ])
+    def test_marginal_spec_rejects_non_finite(self, p, q):
+        with pytest.raises(ValueError, match="finite"):
+            MarginalSpec(p, q)
+
     def test_scaling_pair_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ScalingPair(np.array([[np.inf]]), np.eye(1))
