@@ -86,12 +86,18 @@ _EXIT_CODES = {
 def _number(x, where):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an integer past the double range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: expected a finite number, got {x!r}")
+    return value
 
 
 def _complex_entry(x, where):
     if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return complex(x)
+        return complex(_number(x, where))
     if isinstance(x, list) and len(x) == 2:
         return complex(_number(x[0], where + "[0]"), _number(x[1], where + "[1]"))
     raise SchemaError(f"{where}: expected a number or [re, im] pair, got {x!r}")
@@ -231,6 +237,8 @@ def parse_instance(text):
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err}") from err
+    except RecursionError as err:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from err
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
     kind = data.get("kind")
@@ -286,6 +294,8 @@ def dumps_report(report):
 # Report assembly
 
 
+# Overflowing marginals are reported as null errors, not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def _marginal_errors(T, M, pair):
     primal, dual = cpmap.marginals(cpmap.scale(T, pair), M)
     return {

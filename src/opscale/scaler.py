@@ -262,6 +262,9 @@ def _resolve_budget(T, M, config, mode):
     return budget, -10.0 * b
 
 
+# Overflow is handled, not warned about: non-finite marginals and
+# diverging factors both end the run with ERROR_BUDGET.
+@np.errstate(over="ignore", invalid="ignore")
 def _alternate(T, M, config, budget, log_lb):
     """Core loop on a positive-spectrum instance; normalized units inside.
 
@@ -305,11 +308,10 @@ def _alternate(T, M, config, budget, log_lb):
         # the comfortably representable range, keeping the current factors
         # so later compositions stay finite, and report the budget as
         # exhausted at this step count.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if steps % 2 == 0:
-                new_g, new_h = g @ inc, h
-            else:
-                new_g, new_h = g, h @ inc
+        if steps % 2 == 0:
+            new_g, new_h = g @ inc, h
+        else:
+            new_g, new_h = g, h @ inc
         if not (np.linalg.norm(new_g) < _FACTOR_CAP
                 and np.linalg.norm(new_h) < _FACTOR_CAP):
             status = ERROR_BUDGET
@@ -353,6 +355,8 @@ def _comfortably_invertible(mat):
     return sv[-1] > 1e-10 * max(1.0, sv[0])
 
 
+# Overflow makes the errors non-finite, which the caller treats as bad.
+@np.errstate(over="ignore", invalid="ignore")
 def _converted_errors(T, M, g2, h2):
     """Frobenius errors of (I_n -> Q, I_m -> P) for the converted pair."""
     K = g2.conj().T @ np.stack(T.kraus) @ h2

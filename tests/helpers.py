@@ -1,5 +1,8 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from opscale import CPMap, Partition
@@ -133,3 +136,22 @@ def ds_literal_blocks(primal, dual, M):
             total += _corners_literal(X[s, s], a[s])
             start += b
     return total
+
+
+def entry_bits_literal(x):
+    """Bits of numerator and denominator of x snapped to denominator <= 2^53."""
+    f = Fraction(float(x)).limit_denominator(2**53)
+    return abs(f.numerator).bit_length() + f.denominator.bit_length()
+
+
+def bit_complexity_literal(T, M):
+    """Entry-by-entry Fraction transcription of bit_complexity."""
+    total = 0
+    for A in T.kraus:
+        for x in A.ravel():
+            total += entry_bits_literal(x.real) + entry_bits_literal(x.imag)
+    for v in (M.p, M.q):
+        for x in v:
+            total += entry_bits_literal(x)
+    total += math.ceil(math.log2(T.r) + math.log2(T.m) + math.log2(T.n))
+    return max(1, int(total))

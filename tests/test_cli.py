@@ -5,6 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import bit_complexity_literal, random_kraus, spectrum
+from opscale import CPMap, MarginalSpec
 from opscale.cli import (
     ParseError,
     SchemaError,
@@ -168,6 +170,42 @@ class TestMainScale:
                          if "wall_time_ms" not in l])
         assert outs[0] == outs[1]
         assert reports[0]["seed"] == 7
+
+    def test_default_budget_report_is_pinned_and_deterministic(
+            self, tmp_path, capsys):
+        rng = np.random.default_rng(2024)
+        kraus = random_kraus(rng, 3, 3, 2)
+        p, q = spectrum(rng, 3, floor=0.1), spectrum(rng, 3, floor=0.1)
+        path = write_instance(tmp_path, {
+            "kind": "cpmap", "p": p.tolist(), "q": q.tolist(),
+            "kraus": [[[[z.real, z.imag] for z in row] for row in K]
+                      for K in kraus]})
+        outs = []
+        for _ in range(2):
+            assert main(["scale", path, "--seed", "5"]) == 0
+            outs.append(capsys.readouterr().out)
+        kept = [[l for l in out.splitlines() if "wall_time_ms" not in l]
+                for out in outs]
+        assert kept[0] == kept[1]
+        b = bit_complexity_literal(CPMap(kraus), MarginalSpec(p, q))
+        report = json.loads(outs[0])
+        assert report["capacity"]["log_lower_bound"] == -10 * b
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["scale", "check"])
+    @pytest.mark.parametrize("kraus, spec", [
+        ([[[1e300, 1e300], [1e300, 1e300]]], [0.5, 0.5]),
+        ([[[1e300, 1e300, 1.0], [1e300, 1e300, 1.0], [1.0, 1.0, 1.0]]],
+         [0.5, 0.5, 0.0]),
+    ])
+    def test_overflowing_marginals_exit_two_without_warnings(
+            self, tmp_path, capsys, command, kraus, spec):
+        path = write_instance(tmp_path, {"kind": "cpmap", "kraus": kraus,
+                                         "p": spec, "q": spec})
+        assert main([command, path]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out)["iterations"] == 0
+        assert "Warning" not in out.err
 
     def test_trace_flag_appends_ds_values(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGULAR_CPMAP)

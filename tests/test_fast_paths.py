@@ -2,24 +2,39 @@
 
 The oracles are the literal definitions: corner sums for ds
 (helpers.ds_literal), one slogdet per leading minor for the relative
-determinant (log_relative_det), and the Kraus-by-Kraus loops of
-apply / dual_apply for the marginals.
+determinant (log_relative_det), the Kraus-by-Kraus loops of
+apply / dual_apply for the marginals, and one Fraction per entry for
+bit_complexity (helpers.bit_complexity_literal).
 """
+
+import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 from hypothesis import given, strategies as st
 
-from helpers import ds_literal_blocks, random_cpmap, random_hermitian, random_pd
+from helpers import (
+    bit_complexity_literal,
+    ds_literal_blocks,
+    random_cpmap,
+    random_hermitian,
+    random_pd,
+)
 from opscale import (
+    CPMap,
     MarginalSpec,
     apply,
     balance_factor,
+    bit_complexity,
+    build_matrix_cpmap,
     ds_from_marginals,
     dual_apply,
     log_relative_det,
     marginals,
+    project_to_support,
 )
+from opscale import feasibility
 from opscale.relmetrics import _alternating_step, _log_det
 
 block_structures = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
@@ -115,3 +130,69 @@ def test_step_capacity_factors_match_minors(p_blocks, q_blocks, j, seed):
     expected = ([inc.conj().T @ A for A in T.kraus] if j == 0
                 else [A @ inc for A in T.kraus])
     npt.assert_allclose(K, np.stack(expected), atol=1e-14)
+
+
+# Reals from every range the bit_complexity kernel tells apart, writing
+# |x| = N / 2^k with N odd: the closed form (k <= 53, integers >= 2^53
+# included), the int64 continued fraction (53 < k <= 62) and the Fraction
+# fallback (k > 62: about |x| < 2^-9, subnormals included).
+reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.1, 1 / 3, 2.0**-60, 1e300, 5e-324,
+                     2.0**53 + 2, 2.0**-9, 2.0**-10, 1 - 2.0**-53]),
+    st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1130, 960)),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+              st.integers(-9, 0)),
+    st.floats(-(2.0**-9), 2.0**-9),
+    st.integers(2**53, 2**1000).map(float),
+    st.floats(-1e5, 1e5),
+)
+scales = st.sampled_from([1e-6, 1e-3, 0.1, 1.0, 1e4])
+
+
+@given(st.lists(reals, min_size=1, max_size=40), st.integers(1, 16))
+def test_bit_complexity_matches_fraction_oracle_on_floats(xs, chunk):
+    x = np.array(xs)
+    T = CPMap([(x + 1j * x[::-1])[None, :]])
+    M = MarginalSpec(np.ones(x.size), [1.0])
+    with mock.patch.object(feasibility, "_CHUNK", chunk):
+        assert bit_complexity(T, M) == bit_complexity_literal(T, M)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), scales, seeds)
+def test_bit_complexity_matches_oracle_on_random_maps(m, n, r, scale, seed):
+    rng = np.random.default_rng(seed)
+    T = random_cpmap(rng, m, n, r, scale)
+    M = random_blocked_spec(rng, (n,), (m,))
+    assert bit_complexity(T, M) == bit_complexity_literal(T, M)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), seeds)
+def test_bit_complexity_matches_oracle_on_matrix_maps(m, n, seed):
+    rng = np.random.default_rng(seed)
+    A = np.where(rng.random((m, n)) < 0.6, rng.uniform(0.5, 1.5, (m, n)), 0.0)
+    A[rng.integers(m), rng.integers(n)] = rng.uniform(0.5, 1.5)
+    T = build_matrix_cpmap(A)
+    M = random_blocked_spec(rng, (n,), (m,))
+    assert bit_complexity(T, M) == bit_complexity_literal(T, M)
+
+
+def zero_tailed_spectrum(rng, blocks):
+    """blocked_spectrum with a random zero tail in each block, not all zero."""
+    v = blocked_spectrum(rng, blocks)
+    for s in block_slices(blocks):
+        v[s.start + int(rng.integers(0, s.stop - s.start + 1)):s.stop] = 0.0
+    if not v.any():
+        v[0] = 1.0
+    return v
+
+
+@given(block_structures, block_structures, scales, seeds)
+def test_bit_complexity_matches_oracle_on_restricted_maps(p_blocks, q_blocks,
+                                                          scale, seed):
+    rng = np.random.default_rng(seed)
+    M = MarginalSpec(zero_tailed_spectrum(rng, p_blocks),
+                     zero_tailed_spectrum(rng, q_blocks), p_blocks, q_blocks)
+    T = random_cpmap(rng, M.m, M.n, int(rng.integers(1, 4)), scale)
+    Tr, Mr, _ = project_to_support(T, M)
+    assert bit_complexity(Tr, Mr) == bit_complexity_literal(Tr, Mr)
