@@ -67,8 +67,15 @@ __all__ = [
 ]
 
 
+def _finite(a, name, dtype=np.float64):
+    a = np.asarray(a, dtype=dtype)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _positive_vector(v, name):
-    v = np.asarray(v, dtype=np.float64)
+    v = _finite(v, name)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty vector")
     if np.any(v <= 0):
@@ -104,7 +111,7 @@ class MatrixScalingInstance:
     col_sums: np.ndarray
 
     def __init__(self, matrix, row_sums, col_sums):
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = _finite(matrix, "matrix")
         if matrix.ndim != 2 or matrix.size == 0:
             raise ValueError("matrix must be a nonempty 2-d array")
         if np.any(matrix < 0):
@@ -139,17 +146,12 @@ def build_matrix_cpmap(A):
     by diagonal factors are exactly diagonal.
     """
     A = np.asarray(A, dtype=np.float64)
-    m, n = A.shape
-    kraus = []
-    for i in range(m):
-        for j in range(n):
-            if A[i, j] > 0:
-                K = np.zeros((m, n), dtype=np.complex128)
-                K[i, j] = math.sqrt(A[i, j])
-                kraus.append(K)
-    if not kraus:
+    rows, cols = np.nonzero(A > 0)
+    if not rows.size:
         raise ValueError("matrix has no positive entries")
-    return CPMap(kraus)
+    K = np.zeros((rows.size,) + A.shape, dtype=np.complex128)
+    K[np.arange(rows.size), rows, cols] = np.sqrt(A[rows, cols])
+    return CPMap(K)
 
 
 def rc_feasible(instance):
@@ -210,7 +212,7 @@ class HornInstance:
     spectra: tuple
 
     def __init__(self, spectra):
-        spectra = tuple(np.asarray(v, dtype=np.float64) for v in spectra)
+        spectra = tuple(_finite(v, "spectra") for v in spectra)
         if not spectra:
             raise ValueError("need at least one spectrum")
         m = spectra[0].size
@@ -266,12 +268,7 @@ class HornNormalization:
 
 def build_horn_cpmap(m, s):
     """Kraus operators [0 | I_m | 0]: slot i of C^{ms} summed into C^m."""
-    kraus = []
-    for i in range(s):
-        K = np.zeros((m, m * s), dtype=np.complex128)
-        K[:, i * m:(i + 1) * m] = np.eye(m)
-        kraus.append(K)
-    return CPMap(kraus)
+    return CPMap(np.eye(m * s).reshape(s, m, m * s))
 
 
 def horn_solve(instance, epsilon, seed=0, max_iterations=None):
@@ -309,19 +306,24 @@ def horn_solve(instance, epsilon, seed=0, max_iterations=None):
     return HornSolution(matrices=tuple(matrices), result=result, cpmap=T, spec=M)
 
 
+# Overflow is handled, not warned about: it raises the ValueError below.
+@np.errstate(over="ignore", invalid="ignore")
 def horn_normalize(alpha, beta, gamma):
     """Normalize spectral data of 'A + B = C' to a Horn instance.
 
     Requires the trace identity sum alpha + sum beta = sum gamma
     (InfeasibleInstance otherwise).  Shifts each spectrum positive,
     flips gamma (C enters as w I - C), and doubles the shifts until all
-    normalized entries lie in (0, 1].
+    normalized entries lie in (0, 1].  Raises ValueError when the data,
+    their total, the shifts or the normalized spectra are not finite.
     """
     alpha = -np.sort(-np.asarray(alpha, dtype=np.float64))
     beta = -np.sort(-np.asarray(beta, dtype=np.float64))
     gamma = -np.sort(-np.asarray(gamma, dtype=np.float64))
-    scale = max(1.0, float(np.abs(alpha).sum() + np.abs(beta).sum()
-                           + np.abs(gamma).sum()))
+    total = float(np.abs(alpha).sum() + np.abs(beta).sum() + np.abs(gamma).sum())
+    if not math.isfinite(total):
+        raise ValueError("Horn spectra and their total must be finite")
+    scale = max(1.0, total)
     gap = float(alpha.sum() + beta.sum() - gamma.sum())
     if abs(gap) > 1e-9 * scale:
         raise InfeasibleInstance(
@@ -333,6 +335,8 @@ def horn_normalize(alpha, beta, gamma):
     while True:
         c = u + v + w
         spectra = ((alpha + u) / c, (beta + v) / c, (w - gamma[::-1]) / c)
+        if not (math.isfinite(c) and all(np.isfinite(p).all() for p in spectra)):
+            raise ValueError("Horn spectra overflow when shifted and normalized")
         if all(float(p.max()) <= 1.0 for p in spectra):
             break
         u, v, w = 2 * u, 2 * v, 2 * w
@@ -358,13 +362,13 @@ class ForsterInstance:
     spectrum: np.ndarray
 
     def __init__(self, vectors, weights, spectrum):
-        vectors = np.asarray(vectors, dtype=np.complex128)
+        vectors = _finite(vectors, "vectors", np.complex128)
         if vectors.ndim != 2 or vectors.size == 0:
             raise ValueError("vectors must be a nonempty m x n array")
         norms = np.linalg.norm(vectors, axis=0)
         if np.any(norms == 0):
             raise ValueError("zero vectors cannot be scaled")
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = _finite(weights, "weights")
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a nonempty vector")
         if np.any(weights < 0) or not np.any(weights > 0):
@@ -407,12 +411,9 @@ def build_forster_cpmap(U):
     """
     U = np.asarray(U, dtype=np.complex128)
     m, n = U.shape
-    kraus = []
-    for i in range(n):
-        K = np.zeros((m, n), dtype=np.complex128)
-        K[:, i] = U[:, i]
-        kraus.append(K)
-    return CPMap(kraus)
+    K = np.zeros((n, m, n), dtype=np.complex128)
+    K[np.arange(n), :, np.arange(n)] = U.T
+    return CPMap(K)
 
 
 def polymatroid_membership(instance, rank_tol=1e-9):
@@ -493,8 +494,8 @@ def schur_horn(diagonal, spectrum, epsilon, seed=0, max_iterations=None):
     H = V^dag V then has diagonal exactly p (the w_i are unit) and its
     nonzero spectrum is that of sum p_i w_i w_i^dag ~= diag(q).
     """
-    p = np.asarray(diagonal, dtype=np.float64)
-    q = np.asarray(spectrum, dtype=np.float64)
+    p = _finite(diagonal, "diagonal")
+    q = _finite(spectrum, "spectrum")
     if p.ndim != 1 or q.ndim != 1 or p.size == 0 or q.size == 0:
         raise ValueError("diagonal and spectrum must be nonempty vectors")
     if np.any(p < 0) or np.any(q < 0):

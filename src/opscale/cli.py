@@ -541,10 +541,7 @@ def main(argv=None):
                       "seed": args.seed, "status": INFEASIBLE,
                       "reason": str(err)}
             code = 1
-    except (ParseError, SchemaError, OSError, ValueError) as err:
-        print(f"opscale: error: {err}", file=sys.stderr)
-        return 3
-    except OpscaleError as err:
+    except (OpscaleError, OSError, ValueError) as err:
         print(f"opscale: error: {err}", file=sys.stderr)
         return 3
     report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0

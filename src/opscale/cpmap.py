@@ -1,17 +1,17 @@
 """Completely positive maps, marginal targets, scalings, and balancing.
 
-A completely positive map T is stored through a list of Kraus operators
-A_1, ..., A_r (all m x n):
+A completely positive map T is stored as one read-only (r, m, n) stack
+of Kraus operators A_1, ..., A_r (all m x n):
 
     T(X)  = sum_i A_i X A_i^dag        (n x n  ->  m x m)
     T*(Y) = sum_i A_i^dag Y A_i        (m x m  ->  n x n)
 
 Scaling by an invertible pair (g, h) replaces every A_i by g^dag A_i h,
-i.e. T_{g,h}(X) = g^dag T(h X h^dag) g.
-
-For diagonal targets each marginal is one product over the (r, m, n)
-Kraus stack: T(P) = B B^dag with B = [A_1 sqrt(P) | ... | A_r sqrt(P)],
-and T*(Q) = V^dag V with V = [sqrt(Q) A_1; ...; sqrt(Q) A_r].
+i.e. T_{g,h}(X) = g^dag T(h X h^dag) g, one batched product over the
+stack.  For diagonal targets each marginal is one product too:
+T(P) = B B^dag with B = [A_1 sqrt(P) | ... | A_r sqrt(P)], and
+T*(Q) = V^dag V with V = [sqrt(Q) A_1; ...; sqrt(Q) A_r].  apply and
+dual_apply keep the literal per-operator sums as reference evaluations.
 
 The balancing primitive used by every solver finds, for positive definite
 S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
@@ -45,7 +45,7 @@ __all__ = [
 
 
 def _as_readonly_complex(a, name):
-    out = np.array(a, dtype=np.complex128)
+    out = np.array(a, dtype=np.complex128, order="C")
     if not np.all(np.isfinite(out.view(np.float64))):
         raise ValueError(f"{name} contains non-finite entries")
     out.setflags(write=False)
@@ -73,41 +73,34 @@ class CPMap:
 
     Parameters
     ----------
-    kraus : sequence of (m, n) array_like
-        The Kraus operators. All must share the same shape, and there
-        must be at least one.
+    kraus : (r, m, n) array_like, or a sequence of r (m, n) matrices
+        The Kraus operators, r >= 1, stored as one (r, m, n) stack: a
+        read-only, C-contiguous complex128 array.  Iterating, indexing
+        and len() see the operators one by one.
     """
 
-    kraus: tuple
+    kraus: np.ndarray
 
     def __init__(self, kraus):
-        ops = tuple(_as_readonly_complex(A, f"kraus[{i}]") for i, A in enumerate(kraus))
-        if not ops:
-            raise ValueError("a CPMap needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2:
-            raise ValueError("Kraus operators must be matrices")
-        for i, A in enumerate(ops):
-            if A.shape != shape:
-                raise ValueError(
-                    f"kraus[{i}] has shape {A.shape}, expected {shape}"
-                )
-        object.__setattr__(self, "kraus", ops)
+        K = _as_readonly_complex(kraus, "kraus")
+        if K.ndim != 3 or K.shape[0] == 0:
+            raise ValueError("kraus must be a nonempty stack of (m, n) matrices")
+        object.__setattr__(self, "kraus", K)
 
     @property
     def m(self):
         """Output dimension (rows of each Kraus operator)."""
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     @property
     def n(self):
         """Input dimension (columns of each Kraus operator)."""
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def r(self):
         """Number of Kraus operators."""
-        return len(self.kraus)
+        return self.kraus.shape[0]
 
     def __repr__(self):
         return f"CPMap(m={self.m}, n={self.n}, r={self.r})"
@@ -255,8 +248,7 @@ def scale(T, pair):
         raise ValueError(
             f"pair shapes {g.shape}, {h.shape} do not match map ({T.m}, {T.n})"
         )
-    gd = g.conj().T
-    return CPMap([gd @ A @ h for A in T.kraus])
+    return CPMap(g.conj().T @ T.kraus @ h)
 
 
 def _stacked_marginals(K, p, q):
@@ -273,7 +265,7 @@ def marginals(T, M):
         raise ValueError(
             f"marginal spec ({M.m}, {M.n}) does not match map ({T.m}, {T.n})"
         )
-    return _stacked_marginals(np.stack(T.kraus), M.p, M.q)
+    return _stacked_marginals(T.kraus, M.p, M.q)
 
 
 def singular_floor(S):

@@ -159,7 +159,7 @@ def bit_complexity(T, M):
     (Fraction.limit_denominator), plus ceil(log2 r + log2 m + log2 n)
     for the dimensions.  A zero entry counts one bit, 0.1 counts five.
     """
-    parts = [A.ravel().view(np.float64) for A in T.kraus] + [M.p, M.q]
+    parts = [T.kraus.ravel().view(np.float64), M.p, M.q]
     total = nonzero = 0
     for x in _nonzero_chunks(parts):
         total += _nonzero_bits(x)

@@ -144,9 +144,9 @@ def build_truncation(T, M, max_denominator=64, tol=1e-9):
     Spectra are snapped to fractions with denominator <= max_denominator
     (NonIntegralSpectrum beyond `tol`), scaled by the common denominator
     to integer partitions lam_p, lam_q, and the composite
-    G_{lam_q} o T o G_{lam_p}^* is materialized Kraus by Kraus: operator
-    (i, j, k) carries the lam_q'_j x lam_p'_k corner of A_i in row block
-    j, column block k.  The returned spec asks for identity marginals on
+    G_{lam_q} o T o G_{lam_p}^* is written into one preallocated Kraus
+    stack: operator (i, j, k) carries the lam_q'_j x lam_p'_k corner of
+    A_i in row block j, column block k.  The returned spec asks for identity marginals on
     both sides, and the uniform ds distance of the truncated map equals
     the ds distance of T under the integer spectra (lam_p, lam_q); for
     already-integral input that is ds under (p, q) itself.
@@ -160,11 +160,9 @@ def build_truncation(T, M, max_denominator=64, tol=1e-9):
     conj_q = lam_q.conjugate().parts
     Np, Nq = lam_p.total, lam_q.total
     roff, coff = _offsets(conj_q), _offsets(conj_p)
-    kraus = []
-    for A in T.kraus:
-        for j, cj in enumerate(conj_q):
-            for k, ck in enumerate(conj_p):
-                B = np.zeros((Nq, Np), dtype=np.complex128)
-                B[roff[j]:roff[j + 1], coff[k]:coff[k + 1]] = A[:cj, :ck]
-                kraus.append(B)
-    return CPMap(kraus), MarginalSpec(np.ones(Np), np.ones(Nq))
+    K = np.zeros((T.r, len(conj_q), len(conj_p), Nq, Np), dtype=np.complex128)
+    for j, cj in enumerate(conj_q):
+        for k, ck in enumerate(conj_p):
+            K[:, j, k, roff[j]:roff[j + 1],
+              coff[k]:coff[k + 1]] = T.kraus[:, :cj, :ck]
+    return CPMap(K.reshape(-1, Nq, Np)), MarginalSpec(np.ones(Np), np.ones(Nq))

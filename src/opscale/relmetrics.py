@@ -310,7 +310,7 @@ def estimate_capacity(T, M, budget=200, log_floor=_MINOR_FLOOR_LOG):
     """
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
-    K = np.stack(T.kraus)
+    K = T.kraus
     cum = 0.0
     best = math.inf
     for j in range(int(budget) + 1):

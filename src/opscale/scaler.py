@@ -127,8 +127,7 @@ class SupportEmbedding:
 
     Masks select the positive entries of p (input side) and q (output
     side); within each block these are leading coordinates, so the
-    restriction keeps the flag structure.  `eta` and `nu` are the
-    selection isometries (restricted space into the full space rows).
+    restriction keeps the flag structure.
     """
 
     p_mask: np.ndarray
@@ -145,14 +144,6 @@ class SupportEmbedding:
     @property
     def full(self):
         return bool(self.p_mask.all() and self.q_mask.all())
-
-    @property
-    def eta(self):
-        return np.eye(self.p_mask.size, dtype=np.complex128)[self.p_mask]
-
-    @property
-    def nu(self):
-        return np.eye(self.q_mask.size, dtype=np.complex128)[self.q_mask]
 
     def _embed(self, mat, mask, fill):
         full = fill * np.eye(mask.size, dtype=np.complex128)
@@ -186,7 +177,7 @@ def project_to_support(T, M):
     emb = SupportEmbedding(p_mask, q_mask)
     if emb.full:
         return T, M, emb
-    Tr = CPMap([A[np.ix_(q_mask, p_mask)] for A in T.kraus])
+    Tr = CPMap(T.kraus[:, q_mask][:, :, p_mask])
     Mr = MarginalSpec(
         M.p[p_mask],
         M.q[q_mask],
@@ -268,12 +259,12 @@ def _resolve_budget(T, M, config, mode):
 def _alternate(T, M, config, budget, log_lb):
     """Core loop on a positive-spectrum instance; normalized units inside.
 
-    Runs the shared alternating step on a Kraus stack built once and
-    returns the ScalingResult in original units.
+    Runs the shared alternating step on the map's Kraus stack and returns
+    the ScalingResult in original units.
     """
     Mhat, s = M.normalized()
     thresh = ds_threshold(config.epsilon, Mhat)
-    K = np.stack(T.kraus)
+    K = T.kraus
     g = np.eye(T.m, dtype=np.complex128)
     h = np.eye(T.n, dtype=np.complex128)
     ds_list = []
@@ -359,7 +350,7 @@ def _comfortably_invertible(mat):
 @np.errstate(over="ignore", invalid="ignore")
 def _converted_errors(T, M, g2, h2):
     """Frobenius errors of (I_n -> Q, I_m -> P) for the converted pair."""
-    K = g2.conj().T @ np.stack(T.kraus) @ h2
+    K = g2.conj().T @ T.kraus @ h2
     out, inp = cpmap._stacked_marginals(K, np.ones(T.n), np.ones(T.m))
     return float(np.linalg.norm(out - M.Q)), float(np.linalg.norm(inp - M.P))
 

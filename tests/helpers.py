@@ -96,6 +96,28 @@ def matrix_kraus(A):
     return ops
 
 
+def horn_kraus_literal(m, s):
+    """Kraus operators [0 | I_m | 0] of the Horn map, built slot by slot."""
+    ops = []
+    for i in range(s):
+        K = np.zeros((m, m * s), dtype=np.complex128)
+        K[:, i * m:(i + 1) * m] = np.eye(m)
+        ops.append(K)
+    return ops
+
+
+def forster_kraus_literal(U):
+    """One Kraus operator per column u_i of U, carrying u_i in column i."""
+    U = np.asarray(U, dtype=np.complex128)
+    m, n = U.shape
+    ops = []
+    for i in range(n):
+        K = np.zeros((m, n), dtype=np.complex128)
+        K[:, i] = U[:, i]
+        ops.append(K)
+    return ops
+
+
 def ras_scale(A, r, c, iters=200000, tol=1e-13):
     """Classical alternating row/column normalization (Sinkhorn oracle)."""
     S = np.array(A, dtype=np.float64)

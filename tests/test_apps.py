@@ -180,6 +180,13 @@ class TestHorn:
         with pytest.raises(ValueError):
             HornInstance(([1.0, 0.5], [0.5]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [[1e308, -1e308], [8e307, -8e307],
+                                       [np.nan, 0.0], [np.inf, 0.0]])
+    def test_normalize_rejects_data_it_cannot_represent(self, alpha):
+        with pytest.raises(ValueError, match="finite|overflow"):
+            horn_normalize(alpha, [0.0, 0.0], [0.0, 0.0])
+
 
 class TestForster:
     def test_random_points_reach_isotropic_position(self):
@@ -278,3 +285,28 @@ class TestSchurHorn:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             schur_horn([1.0, -0.5], [0.5, 0.0], epsilon=1e-3)
+
+
+@pytest.mark.parametrize("build, args", [
+    pytest.param(MatrixScalingInstance, ([[np.nan, 1.0], [1.0, 1.0]], [2.0, 2.0],
+                                         [2.0, 2.0]), id="matrix-nan"),
+    pytest.param(MatrixScalingInstance, ([[np.inf, 1.0]], [1.0], [0.5, 0.5]),
+                 id="matrix-inf"),
+    pytest.param(MatrixScalingInstance, ([[1.0]], [np.nan], [1.0]),
+                 id="row-sums-nan"),
+    pytest.param(HornInstance, (([np.nan, 0.5], [0.5, 0.5]),), id="horn-nan"),
+    pytest.param(HornInstance, (([np.inf, 0.5], [0.5, 0.5]),), id="horn-inf"),
+    pytest.param(ForsterInstance, ([[np.nan, 1.0], [0.0, 1.0]], [1.0, 1.0],
+                                   [1.0, 1.0]), id="vectors-nan"),
+    pytest.param(ForsterInstance, (np.eye(2), [np.nan, 1.0], [1.0, 1.0]),
+                 id="weights-nan"),
+    pytest.param(ForsterInstance, (np.eye(2), [1.0, 1.0], [np.inf, 1.0]),
+                 id="spectrum-inf"),
+    pytest.param(schur_horn, ([np.nan, 0.5], [1.0, 0.5], 1e-3),
+                 id="schur-horn-diagonal-nan"),
+    pytest.param(schur_horn, ([0.5, 0.5], [np.nan, 0.0], 1e-3),
+                 id="schur-horn-spectrum-nan"),
+])
+def test_non_finite_data_rejected(build, args):
+    with pytest.raises(ValueError, match="finite"):
+        build(*args)

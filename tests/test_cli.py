@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import bit_complexity_literal, random_kraus, spectrum
+import opscale
 from opscale import CPMap, MarginalSpec
 from opscale.cli import (
     ParseError,
@@ -341,6 +346,22 @@ class TestMainErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert "finite" in out.err and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("alpha", [[1e308, -1e308], [8e307, -8e307]])
+    def test_horn_overflow_exits_three(self, tmp_path, alpha):
+        # A separate process with a timeout: a regression that loops
+        # forever fails here instead of hanging the suite.
+        path = write_instance(tmp_path, {"kind": "horn", "alpha": alpha,
+                                         "beta": [0, 0], "gamma": [0, 0]})
+        src = str(Path(opscale.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "opscale.cli", "horn", path],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("opscale: error:")
 
     @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
     def test_bad_hard_cap_exit_three(self, tmp_path, capsys, monkeypatch,

@@ -4,8 +4,10 @@ import pytest
 
 from helpers import (
     matrix_kraus,
+    random_complex,
     random_cpmap,
     random_hermitian,
+    random_kraus,
     random_pd,
 )
 from opscale import (
@@ -194,6 +196,36 @@ class TestSpecsAndPairs:
     def test_cpmap_rejects_mixed_shapes(self):
         with pytest.raises(ValueError):
             CPMap([np.eye(2), np.ones((3, 2))])
+
+    @pytest.mark.parametrize("kraus", [[], np.zeros((0, 2, 2)), [[1.0, 2.0]],
+                                       np.eye(2)])
+    def test_cpmap_rejects_non_stacks(self, kraus):
+        with pytest.raises(ValueError, match="nonempty stack"):
+            CPMap(kraus)
+
+    def test_cpmap_stores_one_read_only_stack(self):
+        ops = random_kraus(np.random.default_rng(4), 2, 3, 4)
+        T = CPMap(ops)
+        assert (T.r, T.m, T.n) == (4, 2, 3) and len(T.kraus) == 4
+        assert T.kraus.dtype == np.complex128 and T.kraus.flags.c_contiguous
+        npt.assert_array_equal(T.kraus, np.stack(ops))
+        with pytest.raises(ValueError):
+            T.kraus[0, 0, 0] = 1.0
+        ops[0][0, 0] = 7.0
+        assert T.kraus[0, 0, 0] != 7.0
+
+    @pytest.mark.parametrize("flip", [np.transpose, lambda A: A.conj().T,
+                                      np.asfortranarray],
+                             ids=["transpose", "adjoint", "fortran"])
+    def test_transposed_and_fortran_input_accepted(self, flip):
+        rng = np.random.default_rng(5)
+        A, g, h = (random_complex(rng, (3, 3)) + 3 * np.eye(3) for _ in range(3))
+        npt.assert_array_equal(CPMap([flip(A)]).kraus[0], flip(A))
+        stack = np.asfortranarray(np.stack([A, 2 * A]))
+        npt.assert_array_equal(CPMap(stack).kraus, stack)
+        pair = ScalingPair(flip(g), flip(h))
+        npt.assert_array_equal(pair.g, flip(g))
+        npt.assert_array_equal(pair.h, flip(h))
 
     def test_convert_pair_absorbs_spectra(self):
         rng = np.random.default_rng(13)

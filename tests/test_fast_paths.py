@@ -3,8 +3,10 @@
 The oracles are the literal definitions: corner sums for ds
 (helpers.ds_literal), one slogdet per leading minor for the relative
 determinant (log_relative_det), the Kraus-by-Kraus loops of
-apply / dual_apply for the marginals, and one Fraction per entry for
-bit_complexity (helpers.bit_complexity_literal).
+apply / dual_apply for the marginals, one Fraction per entry for
+bit_complexity (helpers.bit_complexity_literal), and per-operator loops
+for the Kraus stacks that the app builders, scale and project_to_support
+write in one go.
 """
 
 import math
@@ -17,22 +19,31 @@ from hypothesis import given, strategies as st
 from helpers import (
     bit_complexity_literal,
     ds_literal_blocks,
+    forster_kraus_literal,
+    horn_kraus_literal,
+    matrix_kraus,
+    random_complex,
     random_cpmap,
     random_hermitian,
     random_pd,
+    random_upper,
 )
 from opscale import (
     CPMap,
     MarginalSpec,
+    ScalingPair,
     apply,
     balance_factor,
     bit_complexity,
+    build_forster_cpmap,
+    build_horn_cpmap,
     build_matrix_cpmap,
     ds_from_marginals,
     dual_apply,
     log_relative_det,
     marginals,
     project_to_support,
+    scale,
 )
 from opscale import feasibility
 from opscale.relmetrics import _alternating_step, _log_det
@@ -196,3 +207,45 @@ def test_bit_complexity_matches_oracle_on_restricted_maps(p_blocks, q_blocks,
     T = random_cpmap(rng, M.m, M.n, int(rng.integers(1, 4)), scale)
     Tr, Mr, _ = project_to_support(T, M)
     assert bit_complexity(Tr, Mr) == bit_complexity_literal(Tr, Mr)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.floats(0.0, 1.0), seeds)
+def test_matrix_builder_matches_per_entry_loop(m, n, density, seed):
+    rng = np.random.default_rng(seed)
+    A = np.where(rng.random((m, n)) < density, rng.uniform(0.1, 4.0, (m, n)), 0.0)
+    A[rng.integers(m), rng.integers(n)] = rng.uniform(0.1, 4.0)
+    npt.assert_array_equal(build_matrix_cpmap(A).kraus, np.stack(matrix_kraus(A)))
+
+
+@given(st.integers(1, 4), st.integers(1, 4))
+def test_horn_builder_matches_per_slot_loop(m, s):
+    npt.assert_array_equal(build_horn_cpmap(m, s).kraus,
+                           np.stack(horn_kraus_literal(m, s)))
+
+
+@given(st.integers(1, 4), st.integers(1, 5), seeds)
+def test_forster_builder_matches_per_column_loop(m, n, seed):
+    U = random_complex(np.random.default_rng(seed), (m, n))
+    npt.assert_array_equal(build_forster_cpmap(U).kraus,
+                           np.stack(forster_kraus_literal(U)))
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), seeds)
+def test_scale_matches_per_operator_congruence(m, n, r, seed):
+    rng = np.random.default_rng(seed)
+    T = random_cpmap(rng, m, n, r)
+    pair = ScalingPair(random_upper(rng, m), random_pd(rng, n))
+    expected = [pair.g.conj().T @ A @ pair.h for A in T.kraus]
+    npt.assert_array_equal(scale(T, pair).kraus, np.stack(expected))
+
+
+@given(block_structures, block_structures, st.integers(1, 4), seeds)
+def test_project_to_support_matches_per_operator_selection(p_blocks, q_blocks,
+                                                           r, seed):
+    rng = np.random.default_rng(seed)
+    M = MarginalSpec(zero_tailed_spectrum(rng, p_blocks),
+                     zero_tailed_spectrum(rng, q_blocks), p_blocks, q_blocks)
+    T = random_cpmap(rng, M.m, M.n, r)
+    Tr, _, _ = project_to_support(T, M)
+    expected = [A[np.ix_(M.q > 0, M.p > 0)] for A in T.kraus]
+    npt.assert_array_equal(Tr.kraus, np.stack(expected))
