@@ -74,10 +74,15 @@ def _finite(a, name, dtype=np.float64):
     return a
 
 
-def _positive_vector(v, name):
-    v = _finite(v, name)
+def _nonempty_vector(v, name):
+    v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty vector")
+    return v
+
+
+def _positive_vector(v, name):
+    v = _nonempty_vector(_finite(v, name), name)
     if np.any(v <= 0):
         raise ValueError(f"{name} must be strictly positive")
     return v
@@ -216,6 +221,8 @@ class HornInstance:
         if not spectra:
             raise ValueError("need at least one spectrum")
         m = spectra[0].size
+        if m == 0:
+            raise ValueError("spectra must be nonempty")
         for v in spectra:
             if v.ndim != 1 or v.size != m:
                 raise ValueError("all spectra must share one length")
@@ -314,12 +321,12 @@ def horn_normalize(alpha, beta, gamma):
     Requires the trace identity sum alpha + sum beta = sum gamma
     (InfeasibleInstance otherwise).  Shifts each spectrum positive,
     flips gamma (C enters as w I - C), and doubles the shifts until all
-    normalized entries lie in (0, 1].  Raises ValueError when the data,
-    their total, the shifts or the normalized spectra are not finite.
+    normalized entries lie in (0, 1].  Raises ValueError when the data are
+    not nonempty vectors, or when they, their total, the shifts or the
+    normalized spectra are not finite.
     """
-    alpha = -np.sort(-np.asarray(alpha, dtype=np.float64))
-    beta = -np.sort(-np.asarray(beta, dtype=np.float64))
-    gamma = -np.sort(-np.asarray(gamma, dtype=np.float64))
+    alpha, beta, gamma = (-np.sort(-_nonempty_vector(v, name)) for v, name in
+                          ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")))
     total = float(np.abs(alpha).sum() + np.abs(beta).sum() + np.abs(gamma).sum())
     if not math.isfinite(total):
         raise ValueError("Horn spectra and their total must be finite")

@@ -16,16 +16,20 @@ dual_apply keep the literal per-operator sums as reference evaluations.
 The balancing primitive used by every solver finds, for positive definite
 S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
 Cholesky factor L of S masked to its diagonal blocks, so g is
-block-diagonal with upper-triangular blocks.
+block-diagonal with upper-triangular blocks.  The flag geometry of a block
+structure (mask, in-block indices, ds weight indices) is one read-only
+plan, built on first use and cached, so solver steps do not rebuild it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .exceptions import NotInvertible, NotPositiveDefinite
 
@@ -112,10 +116,45 @@ def _block_slices(blocks):
     return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
 
 
+class _BlockPlan(NamedTuple):
+    """Flag geometry of one block structure of total size d.
+
+    mask is the (d, d) boolean mask of the diagonal blocks; flat holds the
+    row-major flat indices of its True entries, eye the identity's entries
+    there and amax the index max(i, j) of each, which picks the ds weight.
+    """
+
+    mask: np.ndarray
+    flat: np.ndarray
+    eye: np.ndarray
+    amax: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _block_plan(blocks):
+    """The read-only _BlockPlan of a checked block tuple, built once."""
+    d = sum(blocks)
+    ids = np.repeat(np.arange(len(blocks)), blocks)
+    mask = ids[:, None] == ids[None, :]
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, d)
+    plan = _BlockPlan(mask, flat, (rows == cols).astype(np.float64),
+                      np.maximum(rows, cols))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(d):
+    eye = np.eye(d, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
+
+
 def _block_mask(blocks):
     """(d, d) boolean mask selecting the diagonal blocks of the given sizes."""
-    ids = np.repeat(np.arange(len(blocks)), blocks)
-    return ids[:, None] == ids[None, :]
+    return _block_plan(tuple(blocks)).mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +235,18 @@ class MarginalSpec:
         s = float(self.p.sum())
         if s <= 0:
             raise ValueError("cannot normalize an all-zero spectrum")
-        return MarginalSpec(self.p / s, self.q / s, self.p_blocks, self.q_blocks), s
+        p, q = self.p / s, self.q / s
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+            raise ValueError("normalized spectra must be finite")
+        p.setflags(write=False)
+        q.setflags(write=False)
+        # Dividing by s > 0 keeps the signs, the order and the blocks, so the
+        # constructor's checks are not run again: its tolerance is absolute,
+        # and a within-block rise it accepted may exceed it once s < 1.
+        spec = object.__new__(MarginalSpec)
+        spec.__dict__.update(p=p, q=q, p_blocks=self.p_blocks,
+                             q_blocks=self.q_blocks)
+        return spec, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +355,14 @@ def balance_factor(S, block_sizes=None):
         L = np.linalg.cholesky(np.where(mask, S, 0.0))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(min_eig) from None
-    Linv = scipy.linalg.solve_triangular(L, np.eye(d, dtype=np.complex128),
-                                         lower=True)
+    # L^{-1} by the LAPACK call that scipy.linalg.solve_triangular(L, I,
+    # lower=True) makes for a C-ordered L: (L^T)^T X = I, L^T upper.
+    Linv, info = scipy.linalg.lapack.ztrtrs(L.T, _identity(d), lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return Linv.conj().T
 
 

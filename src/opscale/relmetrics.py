@@ -166,12 +166,11 @@ def rel_det_multiplicativity_check(a, X, h, tol=1e-8):
     return close(lhs1, rhs1) and close(lhs2, rhs2) and close(lhs3, rhs3)
 
 
-def _flag_weighted_sq(dev, a, blocks):
-    """sum of a_max(i,j) |dev_ij|^2 over the entries inside the blocks."""
-    mask = cpmap._block_mask(blocks)
-    idx = np.arange(a.size)
-    weights = a[np.maximum.outer(idx, idx)[mask]]
-    return float(np.dot(weights, np.abs(dev[mask]) ** 2))
+def _flag_weighted_sq(X, a, blocks):
+    """sum of a_max(i,j) |(X - I)_ij|^2 over the entries inside the blocks."""
+    plan = cpmap._block_plan(blocks)
+    dev = X.ravel()[plan.flat] - plan.eye
+    return float(np.dot(a[plan.amax], np.abs(dev) ** 2))
 
 
 def ds_from_marginals(primal, dual, M):
@@ -180,8 +179,8 @@ def ds_from_marginals(primal, dual, M):
     dual = np.asarray(dual, dtype=np.complex128)
     if dual.shape != (M.n, M.n) or primal.shape != (M.m, M.m):
         raise ValueError("marginal shapes do not match the spec")
-    return (_flag_weighted_sq(dual - np.eye(M.n), M.p, M.p_blocks)
-            + _flag_weighted_sq(primal - np.eye(M.m), M.q, M.q_blocks))
+    return (_flag_weighted_sq(dual, M.p, M.p_blocks)
+            + _flag_weighted_sq(primal, M.q, M.q_blocks))
 
 
 def ds_distance(T, M):
@@ -290,8 +289,7 @@ def _alternating_step(K, primal, dual, M, j):
     inc = cpmap.balance_factor(target, blocks)
     log_factor = 2.0 * float(np.dot(a, np.log(inc.diagonal().real)))
     upper = _log_det(a, inc.conj().T @ target @ inc, blocks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = inc.conj().T @ K if output else K @ inc
+    K = inc.conj().T @ K if output else K @ inc
     return inc, K, log_factor, upper
 
 
@@ -313,17 +311,19 @@ def estimate_capacity(T, M, budget=200, log_floor=_MINOR_FLOOR_LOG):
     K = T.kraus
     cum = 0.0
     best = math.inf
-    for j in range(int(budget) + 1):
-        primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
-        best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
-        if best <= log_floor:
-            return CapacityEstimate(0.0, -math.inf, True, j)
-        if j == budget:
-            break
-        try:
-            _, K, log_factor, _ = _alternating_step(K, primal, dual, M, j)
-        except NotPositiveDefinite:
-            return CapacityEstimate(0.0, -math.inf, True, j)
-        cum += log_factor
+    # Overflowing Kraus updates are handled: the estimate then diverges.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(int(budget) + 1):
+            primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
+            best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
+            if best <= log_floor:
+                return CapacityEstimate(0.0, -math.inf, True, j)
+            if j == budget:
+                break
+            try:
+                _, K, log_factor, _ = _alternating_step(K, primal, dual, M, j)
+            except NotPositiveDefinite:
+                return CapacityEstimate(0.0, -math.inf, True, j)
+            cum += log_factor
     value = math.exp(best) if best > _MINOR_FLOOR_LOG else 0.0
     return CapacityEstimate(value, best, False, int(budget))

@@ -29,19 +29,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import cpmap
+from . import cpmap, relmetrics
 from .cpmap import CPMap, MarginalSpec, ScalingPair
 from .exceptions import AllZeroSpectrum, NotPositiveDefinite
-from .relmetrics import (
-    CapacityTrace,
-    _alternating_step,
-    ds_from_marginals,
-    ds_threshold,
-)
+from .relmetrics import CapacityTrace, _alternating_step, ds_threshold
 
 __all__ = [
     "SUCCESS",
@@ -256,11 +251,12 @@ def _resolve_budget(T, M, config, mode):
 # Overflow is handled, not warned about: non-finite marginals and
 # diverging factors both end the run with ERROR_BUDGET.
 @np.errstate(over="ignore", invalid="ignore")
-def _alternate(T, M, config, budget, log_lb):
+def _alternate(T, M, config, budget, log_lb, finish=ScalingPair):
     """Core loop on a positive-spectrum instance; normalized units inside.
 
     Runs the shared alternating step on the map's Kraus stack and returns
-    the ScalingResult in original units.
+    the ScalingResult in original units, its pair built by finish(g, h)
+    from the last iterate.
     """
     Mhat, s = M.normalized()
     thresh = ds_threshold(config.epsilon, Mhat)
@@ -273,7 +269,7 @@ def _alternate(T, M, config, budget, log_lb):
     min_eig = None
     while True:
         primal, dual = cpmap._stacked_marginals(K, Mhat.p, Mhat.q)
-        ds_list.append(ds_from_marginals(primal, dual, Mhat))
+        ds_list.append(relmetrics.ds_from_marginals(primal, dual, Mhat))
         if ds_list[-1] <= thresh:
             status = SUCCESS
             break
@@ -298,19 +294,19 @@ def _alternate(T, M, config, budget, log_lb):
         # while the iterated marginals stay bounded); stop once they leave
         # the comfortably representable range, keeping the current factors
         # so later compositions stay finite, and report the budget as
-        # exhausted at this step count.
-        if steps % 2 == 0:
-            new_g, new_h = g @ inc, h
-        else:
-            new_g, new_h = g, h @ inc
-        if not (np.linalg.norm(new_g) < _FACTOR_CAP
-                and np.linalg.norm(new_h) < _FACTOR_CAP):
+        # exhausted at this step count.  Only the factor this step changed
+        # is tested: the other one passed when it last changed.
+        new = (g if steps % 2 == 0 else h) @ inc
+        if not np.linalg.norm(new) < _FACTOR_CAP:
             status = ERROR_BUDGET
             break
-        g, h = new_g, new_h
+        if steps % 2 == 0:
+            g = new
+        else:
+            h = new
         steps += 1
     return ScalingResult(
-        pair=ScalingPair(g, h / math.sqrt(s)),
+        pair=finish(g, h / math.sqrt(s)),
         status=status,
         iterations=steps,
         ds_trace=tuple(s * d for d in ds_list),
@@ -410,9 +406,10 @@ def general_scale(T, M, config):
             epsilon=config.epsilon,
             capacity_trace=CapacityTrace(log_lower_bound=log_lb),
         )
-    res = _alternate(cpmap.scale(Tr, ScalingPair(g0, h0)), Mr, config,
-                     budget, log_lb)
-    res = replace(res, pair=ScalingPair(g0 @ res.pair.g, h0 @ res.pair.h))
-    if emb.full:
-        return res
-    return replace(res, pair=_lift_with_fill(T, M, Tr, Mr, res.pair, emb))
+
+    def finish(g, h):
+        pair = ScalingPair(g0 @ g, h0 @ h)
+        return pair if emb.full else _lift_with_fill(T, M, Tr, Mr, pair, emb)
+
+    return _alternate(cpmap.scale(Tr, ScalingPair(g0, h0)), Mr, config,
+                      budget, log_lb, finish)

@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
-from opscale import CPMap, Partition
+from opscale import CPMap, NotPositiveDefinite, Partition
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -158,6 +159,39 @@ def ds_literal_blocks(primal, dual, M):
             total += _corners_literal(X[s, s], a[s])
             start += b
     return total
+
+
+def block_mask_literal(blocks):
+    """(d, d) boolean mask of the diagonal blocks, built from block ids."""
+    ids = np.repeat(np.arange(len(blocks)), blocks)
+    return ids[:, None] == ids[None, :]
+
+
+def _flag_weighted_sq_literal(dev, a, blocks):
+    mask = block_mask_literal(blocks)
+    idx = np.arange(a.size)
+    weights = a[np.maximum.outer(idx, idx)[mask]]
+    return float(np.dot(weights, np.abs(dev[mask]) ** 2))
+
+
+def ds_masked_literal(primal, dual, M):
+    """ds as sum a_max(i,j) |(X - I)_ij|^2, masking np.eye deviations per call."""
+    return (_flag_weighted_sq_literal(dual - np.eye(M.n), M.p, M.p_blocks)
+            + _flag_weighted_sq_literal(primal - np.eye(M.m), M.q, M.q_blocks))
+
+
+def balance_factor_literal(S, blocks):
+    """L^{-dag} for the block-masked Cholesky factor L, by solve_triangular."""
+    S = np.asarray(S, dtype=np.complex128)
+    S = (S + S.conj().T) / 2
+    d = S.shape[0]
+    min_eig = float(np.linalg.eigvalsh(S)[0])
+    if not min_eig > max(1e-12 * float(np.trace(S).real) / d, 0.0):
+        raise NotPositiveDefinite(min_eig)
+    L = np.linalg.cholesky(np.where(block_mask_literal(blocks), S, 0.0))
+    Linv = scipy.linalg.solve_triangular(L, np.eye(d, dtype=np.complex128),
+                                         lower=True)
+    return Linv.conj().T
 
 
 def entry_bits_literal(x):

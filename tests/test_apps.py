@@ -180,6 +180,16 @@ class TestHorn:
         with pytest.raises(ValueError):
             HornInstance(([1.0, 0.5], [0.5]))
 
+    @pytest.mark.parametrize("build, args", [
+        (horn_normalize, ([], [], [])),
+        (horn_normalize, ([], [1.0], [1.0])),
+        (horn_normalize, ([[1.0, 0.0]], [[1.0, 0.0]], [[2.0, 0.0]])),
+        (HornInstance, (([], []),)),
+    ], ids=["all-empty", "empty-alpha", "2-d", "empty-instance"])
+    def test_empty_or_2d_data_rejected(self, build, args):
+        with pytest.raises(ValueError, match="nonempty"):
+            build(*args)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [[1e308, -1e308], [8e307, -8e307],
                                        [np.nan, 0.0], [np.inf, 0.0]])

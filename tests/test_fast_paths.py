@@ -2,7 +2,9 @@
 
 The oracles are the literal definitions: corner sums for ds
 (helpers.ds_literal), one slogdet per leading minor for the relative
-determinant (log_relative_det), the Kraus-by-Kraus loops of
+determinant (log_relative_det), the per-call mask, weight and
+solve_triangular code that the cached flag plan and the direct LAPACK
+solve replace (exact equality), the Kraus-by-Kraus loops of
 apply / dual_apply for the marginals, one Fraction per entry for
 bit_complexity (helpers.bit_complexity_literal), and per-operator loops
 for the Kraus stacks that the app builders, scale and project_to_support
@@ -14,11 +16,15 @@ from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    balance_factor_literal,
     bit_complexity_literal,
+    block_mask_literal,
     ds_literal_blocks,
+    ds_masked_literal,
     forster_kraus_literal,
     horn_kraus_literal,
     matrix_kraus,
@@ -31,6 +37,7 @@ from helpers import (
 from opscale import (
     CPMap,
     MarginalSpec,
+    NotPositiveDefinite,
     ScalingPair,
     apply,
     balance_factor,
@@ -46,9 +53,13 @@ from opscale import (
     scale,
 )
 from opscale import feasibility
+from opscale.cpmap import _block_mask, _block_plan
 from opscale.relmetrics import _alternating_step, _log_det
 
 block_structures = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
+# Block structures with the all-1x1 ones (matrix scaling) drawn often.
+flag_structures = st.one_of(block_structures,
+                            st.integers(1, 6).map(lambda k: (1,) * k))
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -90,6 +101,63 @@ def test_ds_matches_per_block_literal(p_blocks, q_blocks, seed):
     dual[off_block(p_blocks)] = np.nan
     npt.assert_allclose(ds_from_marginals(primal, dual, M), expected,
                         rtol=1e-12)
+
+
+@given(flag_structures)
+def test_block_plan_matches_literal_mask(blocks):
+    plan, mask = _block_plan(blocks), block_mask_literal(blocks)
+    npt.assert_array_equal(_block_mask(blocks), mask)
+    npt.assert_array_equal(plan.flat, np.flatnonzero(mask))
+    npt.assert_array_equal(plan.eye, np.eye(sum(blocks))[mask])
+    assert not any(arr.flags.writeable for arr in plan)
+
+
+@given(flag_structures, flag_structures, seeds)
+def test_ds_matches_masked_literal_exactly(p_blocks, q_blocks, seed):
+    rng = np.random.default_rng(seed)
+    M = random_blocked_spec(rng, p_blocks, q_blocks)
+    primal = random_hermitian(rng, M.m)
+    dual = random_hermitian(rng, M.n)
+    expected = ds_masked_literal(primal, dual, M)
+    assert ds_from_marginals(primal, dual, M) == expected
+    primal[off_block(q_blocks)] = np.inf
+    dual[off_block(p_blocks)] = np.nan
+    assert ds_from_marginals(primal, dual, M) == expected
+
+
+@given(flag_structures, st.integers(-200, 200), seeds)
+def test_balance_factor_matches_solve_triangular_exactly(blocks, exp10, seed):
+    rng = np.random.default_rng(seed)
+    S = random_pd(rng, sum(blocks)) * 10.0**exp10
+    npt.assert_array_equal(balance_factor(S, blocks),
+                           balance_factor_literal(S, blocks))
+
+
+@given(flag_structures, seeds)
+def test_balance_factor_not_pd_matches_literal(blocks, seed):
+    rng = np.random.default_rng(seed)
+    d = sum(blocks)
+    A = random_complex(rng, (d, d - 1)) if d > 1 else np.zeros((1, 1))
+    S = A @ A.conj().T
+    with pytest.raises(NotPositiveDefinite) as new:
+        balance_factor(S, blocks)
+    with pytest.raises(NotPositiveDefinite) as old:
+        balance_factor_literal(S, blocks)
+    assert new.value.min_eigenvalue == old.value.min_eigenvalue
+
+
+@given(flag_structures, flag_structures, st.integers(-30, 30), seeds)
+def test_normalized_spec_matches_constructor(p_blocks, q_blocks, exp10, seed):
+    rng = np.random.default_rng(seed)
+    M = random_blocked_spec(rng, p_blocks, q_blocks)
+    M = MarginalSpec(M.p * 10.0**exp10, M.q * 10.0**exp10, p_blocks, q_blocks)
+    Mhat, s = M.normalized()
+    expected = MarginalSpec(M.p / s, M.q / s, p_blocks, q_blocks)
+    npt.assert_array_equal(Mhat.p, expected.p)
+    npt.assert_array_equal(Mhat.q, expected.q)
+    assert (Mhat.p_blocks, Mhat.q_blocks) == (expected.p_blocks,
+                                              expected.q_blocks)
+    assert not (Mhat.p.flags.writeable or Mhat.q.flags.writeable)
 
 
 @given(block_structures, seeds)
