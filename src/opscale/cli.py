@@ -23,6 +23,7 @@ Exit codes: 0 SUCCESS/FEASIBLE, 1 INFEASIBLE or a definite failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -490,6 +491,12 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """main's parser, built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def _emit(report, args):
     text = dumps_report(report)
     if args.output:
@@ -514,7 +521,7 @@ def _summary_line(report):
 def main(argv=None):
     """Entry point; returns the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as err:
         print(f"opscale: error: {err}", file=sys.stderr)
         return 3

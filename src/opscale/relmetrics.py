@@ -36,7 +36,7 @@ produce an upper estimate of cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,7 +233,6 @@ def shannon_entropy(p):
     return float(-(pos * np.log(pos)).sum())
 
 
-@dataclass
 class CapacityTrace:
     """Per-iteration capacity bookkeeping owned by one solver run.
 
@@ -241,11 +240,31 @@ class CapacityTrace:
     upper_estimates[j] is the capacity objective of the current scaled
     map at h = I recorded just after that step (0 up to roundoff, the
     computable face of cap <= 1).
+
+    log_lower_bound is the log capacity lower bound -10 b of the solved
+    instance (b its bit complexity), or the value given, -inf by default.
+    A trace built with instance=(T, M) computes -10 b for that instance on
+    the first read of log_lower_bound, keeps it and drops its reference
+    to (T, M); a caller that never reads the bound never pays for b.
     """
 
-    log_factors: list = field(default_factory=list)
-    upper_estimates: list = field(default_factory=list)
-    log_lower_bound: float = -math.inf
+    def __init__(self, log_factors=None, upper_estimates=None,
+                 log_lower_bound=-math.inf, *, instance=None):
+        self.log_factors = [] if log_factors is None else log_factors
+        self.upper_estimates = [] if upper_estimates is None else upper_estimates
+        self._log_lower_bound = log_lower_bound
+        self._instance = instance
+
+    @property
+    def log_lower_bound(self):
+        if self._instance is not None:
+            from . import feasibility  # deferred: feasibility uses us
+
+            T, M = self._instance
+            b = feasibility.bit_complexity(T, M)
+            self._log_lower_bound = log_capacity_lower_bound(b, T.m)[0]
+            self._instance = None
+        return self._log_lower_bound
 
     @property
     def cumulative(self):

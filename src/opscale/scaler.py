@@ -21,8 +21,11 @@ off-support diagonal fill until the lifted pair is essentially as good
 as the restricted one.
 
 Iteration budgets default to worst-case formulas driven by the instance
-bit complexity; every budget is clamped by the OPSCALE_HARD_CAP
-environment variable (default 10^6).
+bit complexity b; every budget is clamped by the OPSCALE_HARD_CAP
+environment variable (default 10^6).  b is computed only when it can
+change an output: the budget skips it when a lower bound on b already
+reaches the cap, and the log capacity lower bound -10 b in the result's
+CapacityTrace is computed on first read.
 """
 
 from __future__ import annotations
@@ -205,6 +208,7 @@ def iteration_budget(b, m, epsilon, p_min, q_min, mode="triangular", log_cap1=No
     ceil(100 b m / (min(eps, p_min) + min(eps, q_min))) for the
     triangular solver and ceil(400 b m / (min(p_min, q_min) eps^2)) for
     the randomized general one.  Spectra are assumed trace-normalized.
+    The result does not decrease as b grows.
     """
     denom = min(epsilon, p_min) + min(epsilon, q_min)
     if log_cap1 is not None:
@@ -215,7 +219,8 @@ def iteration_budget(b, m, epsilon, p_min, q_min, mode="triangular", log_cap1=No
         raw = 400.0 * b * m / (min(p_min, q_min) * epsilon**2)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return min(math.ceil(raw), hard_cap())
+    # Clamp before rounding up: a tiny spectrum entry overflows raw to inf.
+    return math.ceil(min(raw, hard_cap()))
 
 
 def _check_shapes(T, M):
@@ -235,28 +240,39 @@ def _check_instance(T, M):
 
 
 def _resolve_budget(T, M, config, mode):
-    """(budget, log capacity lower bound); bit complexity only if needed."""
+    """(budget, empty CapacityTrace) of a solve on (T, M).
+
+    A set max_iterations needs no bit complexity b; the trace's
+    log_lower_bound is then -inf.  Otherwise b is computed only when it
+    can change the budget.  Every real part of a Kraus or spectrum entry
+    adds at least one bit and the dimension term is nonnegative, so
+    b >= 2 r m n + m + n; iteration_budget does not decrease in b, so
+    once that lower bound reaches hard_cap() the budget is hard_cap().
+    In that case the trace computes -10 b on first read.
+    """
     if config.max_iterations is not None:
-        return min(config.max_iterations, hard_cap()), -math.inf
+        return min(config.max_iterations, hard_cap()), CapacityTrace()
+    Mhat, _ = M.normalized()
+    args = (T.m, config.epsilon, float(Mhat.p.min()), float(Mhat.q.min()), mode)
+    budget = iteration_budget(2 * T.r * T.m * T.n + T.m + T.n, *args)
+    if budget == hard_cap():
+        return budget, CapacityTrace(instance=(T, M))
     from .feasibility import bit_complexity  # deferred: feasibility uses us
 
     b = bit_complexity(T, M)
-    Mhat, _ = M.normalized()
-    budget = iteration_budget(
-        b, T.m, config.epsilon, float(Mhat.p.min()), float(Mhat.q.min()), mode
-    )
-    return budget, -10.0 * b
+    lower = relmetrics.log_capacity_lower_bound(b, T.m)[0]
+    return iteration_budget(b, *args), CapacityTrace(log_lower_bound=lower)
 
 
 # Overflow is handled, not warned about: non-finite marginals and
 # diverging factors both end the run with ERROR_BUDGET.
 @np.errstate(over="ignore", invalid="ignore")
-def _alternate(T, M, config, budget, log_lb, finish=ScalingPair):
+def _alternate(T, M, config, budget, trace, finish=ScalingPair):
     """Core loop on a positive-spectrum instance; normalized units inside.
 
-    Runs the shared alternating step on the map's Kraus stack and returns
-    the ScalingResult in original units, its pair built by finish(g, h)
-    from the last iterate.
+    Runs the shared alternating step on the map's Kraus stack, recording
+    each step in `trace`, and returns the ScalingResult in original units,
+    its pair built by finish(g, h) from the last iterate.
     """
     Mhat, s = M.normalized()
     thresh = ds_threshold(config.epsilon, Mhat)
@@ -264,7 +280,6 @@ def _alternate(T, M, config, budget, log_lb, finish=ScalingPair):
     g = np.eye(T.m, dtype=np.complex128)
     h = np.eye(T.n, dtype=np.complex128)
     ds_list = []
-    trace = CapacityTrace(log_lower_bound=log_lb)
     steps = 0
     min_eig = None
     while True:
@@ -387,7 +402,7 @@ def general_scale(T, M, config):
     """
     _check_instance(T, M)
     Tr, Mr, emb = project_to_support(T, M)
-    budget, log_lb = _resolve_budget(Tr, Mr, config, "general")
+    budget, trace = _resolve_budget(Tr, Mr, config, "general")
     g0 = h0 = None
     for attempt in range(3):
         rng = np.random.default_rng(config.seed + attempt)
@@ -404,12 +419,14 @@ def general_scale(T, M, config):
             ds_trace=(),
             threshold=ds_threshold(config.epsilon, M),
             epsilon=config.epsilon,
-            capacity_trace=CapacityTrace(log_lower_bound=log_lb),
+            capacity_trace=trace,
         )
 
     def finish(g, h):
         pair = ScalingPair(g0 @ g, h0 @ h)
         return pair if emb.full else _lift_with_fill(T, M, Tr, Mr, pair, emb)
 
-    return _alternate(cpmap.scale(Tr, ScalingPair(g0, h0)), Mr, config,
-                      budget, log_lb, finish)
+    # _comfortably_invertible has checked (g0, h0); this is the product
+    # cpmap.scale forms, without a ScalingPair that would SVD them again.
+    return _alternate(CPMap(g0.conj().T @ Tr.kraus @ h0), Mr, config,
+                      budget, trace, finish)

@@ -11,7 +11,7 @@ import pytest
 
 from helpers import bit_complexity_literal, random_kraus, spectrum
 import opscale
-from opscale import CPMap, MarginalSpec
+from opscale import CPMap, MarginalSpec, cli
 from opscale.cli import (
     ParseError,
     SchemaError,
@@ -196,6 +196,20 @@ class TestMainScale:
         report = json.loads(outs[0])
         assert report["capacity"]["log_lower_bound"] == -10 * b
 
+    def test_tiny_spectrum_entry_exits_two_without_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        # p_min = 1e-300 overflows the raw general budget to inf; the
+        # budget must clamp to the cap instead of raising OverflowError.
+        monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
+        path = write_instance(tmp_path, {
+            "kind": "cpmap", "kraus": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+            "p": [1.0, 1e-300], "q": [0.6, 0.4]})
+        assert main(["scale", path]) == 2
+        report, err = read_report(capsys)
+        assert report["status"] == "ERROR_BUDGET"
+        assert report["iterations"] == 50
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["scale", "check"])
     @pytest.mark.parametrize("kraus, spec", [
@@ -375,3 +389,38 @@ class TestMainErrors:
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 3
         assert "error" in capsys.readouterr().err
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; runs through it must print
+    # what runs through a freshly built parser print.
+    cpmap_path = write_instance(tmp_path, TRIANGULAR_CPMAP, "cpmap.json")
+    calls = [
+        ["scale", cpmap_path, "--epsilon", "0.05", "--trace"],
+        ["check", cpmap_path, "--max-iters", "1"],
+        ["matscale", write_instance(tmp_path, {
+            "kind": "matscale", "matrix": [[1.0, 2.0], [3.0, 1.0]],
+            "row_sums": [1.0, 1.0], "col_sums": [1.0, 1.0]}, "mat.json")],
+        ["horn", write_instance(tmp_path, {
+            "kind": "horn", "alpha": [2.0, -1.0], "beta": [1.5, 0.5],
+            "gamma": [2.8, 0.2]}, "horn.json"), "--epsilon", "1e-3"],
+        ["schurhorn", write_instance(tmp_path, {
+            "kind": "schurhorn", "diagonal": [0.6, 0.4],
+            "spectrum": [0.7, 0.3]}, "sh.json"), "--seed", "2"],
+        ["frobnicate"],
+        ["scale", cpmap_path, "--epsilon", "0.05", "--seed", "3"],
+    ]
+
+    def run_all():
+        runs = []
+        for argv in calls:
+            code = main(argv)
+            out = capsys.readouterr()
+            runs.append((code, [l for l in out.out.splitlines()
+                                if "wall_time_ms" not in l], out.err))
+        return runs
+
+    cached = run_all()
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0, 3, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == cached

@@ -6,12 +6,14 @@ determinant (log_relative_det), the per-call mask, weight and
 solve_triangular code that the cached flag plan and the direct LAPACK
 solve replace (exact equality), the Kraus-by-Kraus loops of
 apply / dual_apply for the marginals, one Fraction per entry for
-bit_complexity (helpers.bit_complexity_literal), and per-operator loops
+bit_complexity (helpers.bit_complexity_literal) and for the budgets it
+feeds when the lower-bound shortcut skips it, and per-operator loops
 for the Kraus stacks that the app builders, scale and project_to_support
 write in one go.
 """
 
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -39,6 +41,7 @@ from opscale import (
     MarginalSpec,
     NotPositiveDefinite,
     ScalingPair,
+    SolverConfig,
     apply,
     balance_factor,
     bit_complexity,
@@ -47,12 +50,13 @@ from opscale import (
     build_matrix_cpmap,
     ds_from_marginals,
     dual_apply,
+    iteration_budget,
     log_relative_det,
     marginals,
     project_to_support,
     scale,
 )
-from opscale import feasibility
+from opscale import feasibility, scaler
 from opscale.cpmap import _block_mask, _block_plan
 from opscale.relmetrics import _alternating_step, _log_det
 
@@ -275,6 +279,48 @@ def test_bit_complexity_matches_oracle_on_restricted_maps(p_blocks, q_blocks,
     T = random_cpmap(rng, M.m, M.n, int(rng.integers(1, 4)), scale)
     Tr, Mr, _ = project_to_support(T, M)
     assert bit_complexity(Tr, Mr) == bit_complexity_literal(Tr, Mr)
+
+
+def _budget_under_cap(cap, *args):
+    with mock.patch.dict(os.environ, {"OPSCALE_HARD_CAP": str(cap)}):
+        return iteration_budget(*args)
+
+
+def few_bit_instance(rng, m, n, r):
+    """Kraus entries mostly 0, else 1 or -1/2 (1, 2, 3 bits per part), and
+    dyadic spectra: b comes close to its lower bound 2 r m n + m + n."""
+    T = CPMap(rng.choice([0.0, 1.0, -0.5], (r, m, n), p=[0.6, 0.2, 0.2])
+              + 1j * rng.choice([0.0, 1.0], (r, m, n), p=[0.8, 0.2]))
+    p, q = (np.sort(rng.choice([1.0, 0.5, 0.25], k))[::-1] for k in (n, m))
+    return T, MarginalSpec(p, q)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.one_of(scales, st.none()),
+       st.one_of(st.floats(0.05, 0.999), st.floats(0.9, 0.999)),
+       st.sampled_from(["triangular", "general"]), st.integers(0, 2), seeds)
+def test_resolved_budget_matches_literal_bit_complexity(m, n, r, scale, eps,
+                                                        mode, regime, seed):
+    rng = np.random.default_rng(seed)
+    if scale is None:
+        T, M = few_bit_instance(rng, m, n, r)
+    else:
+        T = random_cpmap(rng, m, n, r, scale)
+        M = random_blocked_spec(rng, (n,), (m,))
+    b = bit_complexity_literal(T, M)
+    Mhat, _ = M.normalized()
+    args = (m, eps, Mhat.p.min(), Mhat.q.min(), mode)
+    # A cap at or below the budget of the lower bound 2rmn + m + n on b
+    # (the shortcut), between it and the budget of b, or just above both,
+    # where a shortcut on a bound above b would clamp the budget wrongly.
+    lo = _budget_under_cap(10**30, 2 * r * m * n + m + n, *args)
+    hi = _budget_under_cap(10**30, b, *args)
+    cap = int(rng.integers(*[(0, lo), (lo, hi), (hi, hi + hi // 8)][regime],
+                           endpoint=True))
+    with mock.patch.dict(os.environ, {"OPSCALE_HARD_CAP": str(cap)}):
+        budget, trace = scaler._resolve_budget(T, M, SolverConfig(eps), mode)
+    assert budget == _budget_under_cap(cap, b, *args)
+    assert trace.log_lower_bound == -10 * b
 
 
 @given(st.integers(1, 4), st.integers(1, 5), st.floats(0.0, 1.0), seeds)

@@ -1,8 +1,16 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import matrix_kraus, random_complex, random_cpmap, spectrum
+from helpers import (
+    bit_complexity_literal,
+    matrix_kraus,
+    random_complex,
+    random_cpmap,
+    spectrum,
+)
 from opscale import (
     AllZeroSpectrum,
     CPMap,
@@ -22,7 +30,7 @@ from opscale import (
     project_to_support,
     triangular_scale,
 )
-from opscale import cpmap, relmetrics
+from opscale import cpmap, feasibility, relmetrics
 from opscale.cpmap import scale
 
 
@@ -56,6 +64,17 @@ class TestConfigAndBudget:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             iteration_budget(10, 3, 0.1, 0.2, 0.2, mode="diagonal")
+
+    @pytest.mark.parametrize("mode, p_min, q_min", [
+        ("triangular", 1e-310, 1e-310),
+        ("general", 1e-300, 0.5),
+    ])
+    def test_overflowing_raw_budget_clamps_to_cap(self, monkeypatch, mode,
+                                                  p_min, q_min):
+        # a tiny spectrum entry overflows the raw budget to inf
+        assert iteration_budget(10, 3, 1e-3, p_min, q_min, mode=mode) == 10**6
+        monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
+        assert iteration_budget(10, 3, 1e-3, p_min, q_min, mode=mode) == 50
 
 
 class TestTriangularScale:
@@ -313,3 +332,58 @@ def test_traced_layers_are_called_once_per_step(monkeypatch, solve, instance,
     assert res.status == status
     assert counts["balance_factor"] == res.iterations + (status == ERROR_NOT_PD)
     assert counts["ds_from_marginals"] == res.iterations + 1
+
+
+def _positive_instance(rng):
+    return (random_cpmap(rng, 3, 3, 2),
+            MarginalSpec(spectrum(rng, 3), spectrum(rng, 3)))
+
+
+@pytest.mark.parametrize("solve, instance, epsilon, solve_calls", [
+    # default budgets clamped to the hard cap: b is never needed to solve
+    (triangular_scale, _positive_instance, 1e-4, 0),
+    (general_scale, _zero_tail_instance, 1e-4, 0),
+    # a small map at a loose epsilon: b sets a budget below the cap
+    (triangular_scale, lambda rng: (random_cpmap(rng, 2, 2, 1),
+                                    MarginalSpec([0.5, 0.5], [0.5, 0.5])),
+     0.9, 1),
+])
+def test_bit_complexity_runs_only_when_needed(monkeypatch, solve, instance,
+                                              epsilon, solve_calls):
+    monkeypatch.delenv("OPSCALE_HARD_CAP", raising=False)
+    T, M = instance(np.random.default_rng(5))
+    Tr, Mr, _ = project_to_support(T, M)
+    b = bit_complexity_literal(Tr, Mr)
+    Mhat, _ = Mr.normalized()
+    clamped = iteration_budget(b, Mr.m, epsilon, Mhat.p.min(), Mhat.q.min(),
+                               "general" if solve is general_scale
+                               else "triangular") == hard_cap()
+    assert clamped == (solve_calls == 0)
+    counts = {"bit_complexity": 0}
+    _count_calls(monkeypatch, feasibility, "bit_complexity", counts)
+    res = solve(T, M, SolverConfig(epsilon=epsilon, seed=3))
+    assert counts["bit_complexity"] == solve_calls
+    # the first read computes -10 b of the solved (restricted) instance
+    assert res.capacity_trace.log_lower_bound == -10 * b
+    assert counts["bit_complexity"] == 1
+    assert res.capacity_trace.log_lower_bound == -10 * b
+    assert counts["bit_complexity"] == 1
+
+
+def test_set_budget_never_computes_bit_complexity(monkeypatch):
+    counts = {"bit_complexity": 0}
+    _count_calls(monkeypatch, feasibility, "bit_complexity", counts)
+    T, M = _zero_tail_instance(np.random.default_rng(5))
+    res = general_scale(T, M, SolverConfig(epsilon=1e-4, max_iterations=5))
+    assert res.capacity_trace.log_lower_bound == -np.inf
+    assert counts["bit_complexity"] == 0
+
+
+def test_reading_the_bound_releases_the_instance():
+    T, M = _positive_instance(np.random.default_rng(5))
+    res = triangular_scale(T, M, SolverConfig(epsilon=1e-4))
+    ref = weakref.ref(T)
+    del T
+    assert ref() is not None  # the unread bound still needs the map
+    assert res.capacity_trace.log_lower_bound < 0
+    assert ref() is None
