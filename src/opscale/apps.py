@@ -24,10 +24,10 @@ Each solver raises ScalingFailure when the underlying scaling run does
 not reach SUCCESS; the solution or the failure carries the operator
 instance (cpmap, spec) that was solved.  InfeasibleInstance is raised
 when a priori certificates (pattern conditions, trace identities,
-majorization) already rule the instance out.  The combinatorial
-feasibility tests (rc_feasible, polymatroid_membership) enumerate subsets
-and are intended for small instances; they refuse to run past 20 index
-positions.
+majorization) already rule the instance out.  Schur-Horn feasibility is
+majorization alone, at any size.  The combinatorial feasibility tests
+(rc_feasible, polymatroid_membership) enumerate subsets and are intended
+for small instances; they refuse to run past 20 index positions.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 
 from .cpmap import CPMap, MarginalSpec, hermitian_part
 from .exceptions import (
+    AllZeroSpectrum,
     DimensionTooLarge,
     InfeasibleInstance,
     ScalingFailure,
@@ -292,8 +293,6 @@ def horn_solve(instance, epsilon, seed=0, max_iterations=None):
     marginal error — hence the internal accuracy epsilon / (2 max(1, p_max)).
     """
     m, s = instance.m, instance.s
-    if s * m != sum(v.size for v in instance.spectra):
-        raise ValueError("inconsistent spectra sizes")
     T = build_horn_cpmap(m, s)
     M = MarginalSpec(
         np.concatenate(instance.spectra),
@@ -495,11 +494,15 @@ def schur_horn(diagonal, spectrum, epsilon, seed=0, max_iterations=None):
     """Hermitian matrix with diagonal p and spectrum within epsilon of q.
 
     Feasibility is exactly majorization of p by q (padded with zeros),
-    checked up front.  Construction: draw Gaussian point vectors, verify
-    the scaling certificate (retrying the draw), bring them to radial
-    isotropic position, and assemble the frame V = [sqrt(p_i) w_i];
-    H = V^dag V then has diagonal exactly p (the w_i are unit) and its
-    nonzero spectrum is that of sum p_i w_i w_i^dag ~= diag(q).
+    checked up front at the trace tolerance forster_scale applies.  For
+    a generic frame that is also the scaling certificate: a subset of k
+    Gaussian points spans rank min(k, len q), so polymatroid_membership
+    reduces to the same partial sums.  Construction: draw Gaussian point
+    vectors once from `seed`, bring them to radial isotropic position,
+    and assemble the frame V = [sqrt(p_i) w_i]; H = V^dag V then has
+    diagonal exactly p (the w_i are unit) and its nonzero spectrum is
+    that of sum p_i w_i w_i^dag ~= diag(q).  A degenerate draw
+    (probability zero) surfaces as ScalingFailure.
     """
     p = _finite(diagonal, "diagonal")
     q = _finite(spectrum, "spectrum")
@@ -513,7 +516,7 @@ def schur_horn(diagonal, spectrum, epsilon, seed=0, max_iterations=None):
         raise InfeasibleInstance(
             "more positive spectrum entries than matrix dimensions"
         )
-    tol = 1e-12 * max(1.0, float(np.abs(p).sum() + np.abs(q).sum()))
+    tol = 1e-12 * max(1.0, float(p.sum()))
     q_padded = np.concatenate([q_pos, np.zeros(n - q_pos.size)])
     if not _majorizes(q_padded, p, tol):
         raise InfeasibleInstance(
@@ -523,18 +526,13 @@ def schur_horn(diagonal, spectrum, epsilon, seed=0, max_iterations=None):
     pos = p > 0
     p_pos = p[pos]
     mdim = q_pos.size
-    U = None
-    for attempt in range(3):
-        rng = np.random.default_rng(seed + attempt)
-        cand = (rng.standard_normal((mdim, p_pos.size))
-                + 1j * rng.standard_normal((mdim, p_pos.size)))
-        if polymatroid_membership(ForsterInstance(cand, p_pos, q_pos)):
-            U = cand
-            break
-    if U is None:
-        raise InfeasibleInstance(
-            "no random frame satisfied the scaling certificate"
+    if not (p_pos.size and mdim):
+        raise AllZeroSpectrum(
+            "the diagonal and the spectrum must each have a positive entry"
         )
+    rng = np.random.default_rng(seed)
+    U = (rng.standard_normal((mdim, p_pos.size))
+         + 1j * rng.standard_normal((mdim, p_pos.size)))
     sol = forster_scale(
         ForsterInstance(U, p_pos, q_pos), epsilon,
         seed=seed, max_iterations=max_iterations,

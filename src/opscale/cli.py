@@ -344,9 +344,8 @@ def _cmd_scale(args, inst):
     result = general_scale(T, M, config)
     report = {"command": "scale", "kind": "cpmap", "seed": args.seed}
     report.update(_result_fields(result, T, M))
-    if result.pair is not None:
-        report["g"] = result.pair.g
-        report["h"] = result.pair.h
+    report["g"] = result.pair.g
+    report["h"] = result.pair.h
     return report, _EXIT_CODES.get(result.status, 2), result
 
 

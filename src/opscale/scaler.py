@@ -16,9 +16,8 @@ by the marginal spec is preserved throughout.  It requires strictly
 positive spectra.  general_scale handles singular targets and arbitrary
 instances: restrict to the support of the spectra, precompose with a
 random block-diagonal Gaussian pair (retried when a draw is numerically
-singular), run the triangular iteration, and lift back, shrinking the
-off-support diagonal fill until the lifted pair is essentially as good
-as the restricted one.
+singular), run the triangular iteration, and lift back with the identity
+off the support.
 
 Iteration budgets default to worst-case formulas driven by the instance
 bit complexity b; every budget is clamped by the OPSCALE_HARD_CAP
@@ -125,7 +124,8 @@ class SupportEmbedding:
 
     Masks select the positive entries of p (input side) and q (output
     side); within each block these are leading coordinates, so the
-    restriction keeps the flag structure.
+    restriction keeps the flag structure.  Embedding a restricted factor
+    puts the identity on the off-support coordinates.
     """
 
     p_mask: np.ndarray
@@ -143,18 +143,18 @@ class SupportEmbedding:
     def full(self):
         return bool(self.p_mask.all() and self.q_mask.all())
 
-    def _embed(self, mat, mask, fill):
-        full = fill * np.eye(mask.size, dtype=np.complex128)
+    def _embed(self, mat, mask):
+        full = np.eye(mask.size, dtype=np.complex128)
         full[np.ix_(mask, mask)] = mat
         return full
 
-    def embed_output(self, g, fill=1.0):
-        """Lift a restricted g to the full output space, `fill` on the rest."""
-        return self._embed(g, self.q_mask, fill)
+    def embed_output(self, g):
+        """Lift a restricted g to the full output space, identity on the rest."""
+        return self._embed(g, self.q_mask)
 
-    def embed_input(self, h, fill=1.0):
-        """Lift a restricted h to the full input space, `fill` on the rest."""
-        return self._embed(h, self.p_mask, fill)
+    def embed_input(self, h):
+        """Lift a restricted h to the full input space, identity on the rest."""
+        return self._embed(h, self.p_mask)
 
 
 def _restricted_blocks(mask, slices):
@@ -185,18 +185,17 @@ def project_to_support(T, M):
     return Tr, Mr, emb
 
 
-def lift_pair(pair, embedding, fill=1.0):
-    """Lift a restricted scaling pair to the full spaces.
+def lift_pair(pair, embedding):
+    """Lift a restricted scaling pair to the full spaces, identity off the support.
 
     Off-support coordinates carry zero spectrum weight, so the ds value
-    of the lifted pair equals the restricted one for every fill > 0.
+    of the lifted pair equals the restricted one.  In the converted
+    orientation (cpmap.convert_pair) the off-support rows and columns
+    are exact zeros, so any other off-support fill converts to the same
+    pair.
     """
-    if fill <= 0:
-        raise ValueError("fill must be positive")
-    return ScalingPair(
-        embedding.embed_output(pair.g, fill),
-        embedding.embed_input(pair.h, fill),
-    )
+    return ScalingPair(embedding.embed_output(pair.g),
+                       embedding.embed_input(pair.h))
 
 
 def iteration_budget(b, m, epsilon, p_min, q_min, mode="triangular", log_cap1=None):
@@ -357,38 +356,6 @@ def _comfortably_invertible(mat):
     return sv[-1] > 1e-10 * max(1.0, sv[0])
 
 
-# Overflow makes the errors non-finite, which the caller treats as bad.
-@np.errstate(over="ignore", invalid="ignore")
-def _converted_errors(T, M, g2, h2):
-    """Frobenius errors of (I_n -> Q, I_m -> P) for the converted pair."""
-    K = g2.conj().T @ T.kraus @ h2
-    out, inp = cpmap._stacked_marginals(K, np.ones(T.n), np.ones(T.m))
-    return float(np.linalg.norm(out - M.Q)), float(np.linalg.norm(inp - M.P))
-
-
-def _lift_with_fill(T, M, Tr, Mr, pair_r, emb):
-    """Lift, shrinking the off-support fill until no worse than 2x restricted.
-
-    The target orientation (P -> I, Q -> I) cannot be met in full norm
-    off the support, so quality is measured in the converted orientation
-    (I_n -> Q, I_m -> P), where small fills make the lift exact in the
-    limit.
-    """
-    g2r, h2r = cpmap.convert_pair(pair_r, Mr)
-    ref_out, ref_in = _converted_errors(Tr, Mr, g2r, h2r)
-    slack = 1e-12 * max(1.0, float(M.p.sum()))
-    fill = 1.0
-    while True:
-        pair = lift_pair(pair_r, emb, fill)
-        g2, h2 = cpmap.convert_pair(pair, M)
-        out_e, in_e = _converted_errors(T, M, g2, h2)
-        if (out_e <= 2.0 * ref_out + slack and in_e <= 2.0 * ref_in + slack):
-            return pair
-        if fill <= 1e-6:
-            return pair
-        fill *= 0.1
-
-
 def general_scale(T, M, config):
     """Randomized scaling for arbitrary (possibly singular) target spectra.
 
@@ -396,9 +363,10 @@ def general_scale(T, M, config):
     block-diagonal pair drawn from config.seed (up to 3 draws when one
     comes out numerically singular -> ERROR_SINGULAR_INIT), runs the
     triangular iteration, and lifts the composed pair back to the full
-    spaces.  ERROR_NOT_PD from the iteration is returned as-is: the rank
-    of a marginal is invariant under scaling, so a rank-deficient balance
-    target is evidence against feasibility, not bad luck.
+    spaces with the identity off the support.  ERROR_NOT_PD from the
+    iteration is returned as-is: the rank of a marginal is invariant under
+    scaling, so a rank-deficient balance target is evidence against
+    feasibility, not bad luck.
     """
     _check_instance(T, M)
     Tr, Mr, emb = project_to_support(T, M)
@@ -424,7 +392,7 @@ def general_scale(T, M, config):
 
     def finish(g, h):
         pair = ScalingPair(g0 @ g, h0 @ h)
-        return pair if emb.full else _lift_with_fill(T, M, Tr, Mr, pair, emb)
+        return pair if emb.full else lift_pair(pair, emb)
 
     # _comfortably_invertible has checked (g0, h0); this is the product
     # cpmap.scale forms, without a ScalingPair that would SVD them again.

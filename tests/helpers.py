@@ -211,3 +211,16 @@ def bit_complexity_literal(T, M):
             total += entry_bits_literal(x)
     total += math.ceil(math.log2(T.r) + math.log2(T.m) + math.log2(T.n))
     return max(1, int(total))
+
+
+def converted_errors(T, M, g2, h2):
+    """Frobenius errors of T'(I_n) - Q and T'*(I_m) - P, one Kraus at a time.
+
+    T' is T scaled by a converted pair (g2, h2) = (g sqrt(Q), h sqrt(P)),
+    the (I_n -> Q, I_m -> P) orientation of cpmap.convert_pair.
+    """
+    ops = [g2.conj().T @ A @ h2 for A in T.kraus]
+    out = sum(B @ B.conj().T for B in ops)
+    inp = sum(B.conj().T @ B for B in ops)
+    return (float(np.linalg.norm(out - np.diag(M.q))),
+            float(np.linalg.norm(inp - np.diag(M.p))))

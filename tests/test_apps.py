@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import random_complex, ras_scale
+from helpers import random_complex, random_unitary, ras_scale
 from opscale import (
+    AllZeroSpectrum,
     CPMap,
     DimensionTooLarge,
     ERROR_BUDGET,
@@ -295,6 +296,28 @@ class TestSchurHorn:
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
             schur_horn([1.0, -0.5], [0.5, 0.0], epsilon=1e-3)
+
+    def test_past_the_enumeration_limit(self):
+        # n = 40 points: polymatroid_membership would need 2^40 subsets.
+        rng = np.random.default_rng(40)
+        q = np.sort(rng.uniform(1.0, 2.0, 6))[::-1]
+        q_padded = np.concatenate([q, np.zeros(34)])
+        U = random_unitary(rng, 40)
+        p = np.diag(U @ np.diag(q_padded) @ U.conj().T).real.copy()
+        p *= q.sum() / p.sum()
+        H = schur_horn(p, q, epsilon=1e-3, seed=1).matrix
+        npt.assert_allclose(np.real(np.diag(H)), p, atol=1e-12)
+        npt.assert_allclose(np.linalg.eigvalsh(H)[::-1], q_padded, atol=1e-3)
+
+    def test_trace_gap_inside_the_looser_band_is_infeasible(self):
+        # 1.5e-12 exceeds the trace tolerance 1e-12 * max(1, sum p) that
+        # forster_scale applies, though not 1e-12 * (sum p + sum q).
+        with pytest.raises(InfeasibleInstance, match="majorize"):
+            schur_horn([0.5, 0.5], [1 + 1.5e-12], epsilon=1e-3)
+
+    def test_all_zero_instance(self):
+        with pytest.raises(AllZeroSpectrum, match="diagonal.*spectrum"):
+            schur_horn([0.0, 0.0], [0.0, 0.0], epsilon=1e-3)
 
 
 @pytest.mark.parametrize("build, args", [

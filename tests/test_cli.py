@@ -11,7 +11,7 @@ import pytest
 
 from helpers import bit_complexity_literal, random_kraus, spectrum
 import opscale
-from opscale import CPMap, MarginalSpec, cli
+from opscale import CPMap, MarginalSpec, cli, scaler
 from opscale.cli import (
     ParseError,
     SchemaError,
@@ -145,6 +145,18 @@ class TestMainScale:
         report, _ = read_report(capsys)
         assert code == 1
         assert report["status"] == "ERROR_NOT_PD"
+
+    def test_singular_init_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scaler, "_comfortably_invertible", lambda mat: False)
+        path = write_instance(tmp_path, TRIANGULAR_CPMAP)
+        assert main(["scale", path]) == 1
+        report, err = read_report(capsys)
+        assert report["status"] == "ERROR_SINGULAR_INIT"
+        assert (report["iterations"], report["final_ds"]) == (0, None)
+        for key in ("g", "h"):
+            npt.assert_array_equal(np.array(report[key]),
+                                   np.stack([np.eye(2), np.zeros((2, 2))], -1))
+        assert "scale: ERROR_SINGULAR_INIT" in err
 
     def test_budget_exit_two(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGULAR_CPMAP)
@@ -307,6 +319,15 @@ class TestMainApplications:
         report, _ = read_report(capsys)
         assert code == 1
         assert report["status"] == "INFEASIBLE"
+
+    def test_schurhorn_all_zero_exit_three(self, tmp_path, capsys):
+        data = {"kind": "schurhorn", "diagonal": [0.0, 0.0],
+                "spectrum": [0.0, 0.0]}
+        assert main(["schurhorn", write_instance(tmp_path, data)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "diagonal" in out.err and "spectrum" in out.err
+        assert "vectors" not in out.err
 
     def test_forster_isotropy_error_in_report(self, tmp_path, capsys):
         data = {"kind": "forster",

@@ -7,9 +7,12 @@ solve_triangular code that the cached flag plan and the direct LAPACK
 solve replace (exact equality), the Kraus-by-Kraus loops of
 apply / dual_apply for the marginals, one Fraction per entry for
 bit_complexity (helpers.bit_complexity_literal) and for the budgets it
-feeds when the lower-bound shortcut skips it, and per-operator loops
-for the Kraus stacks that the app builders, scale and project_to_support
-write in one go.
+feeds when the lower-bound shortcut skips it, per-operator loops for
+the Kraus stacks that the app builders, scale and project_to_support
+write in one go, the converted-pair errors (helpers.converted_errors)
+that the lift's deleted off-support fill search compared, and the
+subset enumeration of polymatroid_membership that schur_horn's
+majorization test stands in for.
 """
 
 import math
@@ -25,6 +28,7 @@ from helpers import (
     balance_factor_literal,
     bit_complexity_literal,
     block_mask_literal,
+    converted_errors,
     ds_literal_blocks,
     ds_masked_literal,
     forster_kraus_literal,
@@ -38,6 +42,7 @@ from helpers import (
 )
 from opscale import (
     CPMap,
+    ForsterInstance,
     MarginalSpec,
     NotPositiveDefinite,
     ScalingPair,
@@ -48,15 +53,19 @@ from opscale import (
     build_forster_cpmap,
     build_horn_cpmap,
     build_matrix_cpmap,
+    convert_pair,
     ds_from_marginals,
     dual_apply,
+    general_scale,
     iteration_budget,
     log_relative_det,
     marginals,
+    polymatroid_membership,
     project_to_support,
     scale,
 )
 from opscale import feasibility, scaler
+from opscale.apps import _majorizes
 from opscale.cpmap import _block_mask, _block_plan
 from opscale.relmetrics import _alternating_step, _log_det
 
@@ -363,3 +372,69 @@ def test_project_to_support_matches_per_operator_selection(p_blocks, q_blocks,
     Tr, _, _ = project_to_support(T, M)
     expected = [A[np.ix_(M.q > 0, M.p > 0)] for A in T.kraus]
     npt.assert_array_equal(Tr.kraus, np.stack(expected))
+
+
+@given(block_structures, block_structures, seeds)
+def test_general_scale_lifts_with_identity_off_support(p_blocks, q_blocks,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    p, q = (zero_tailed_spectrum(rng, b) for b in (p_blocks, q_blocks))
+    M = MarginalSpec(p / p.sum(), q / q.sum(), p_blocks, q_blocks)
+    # With more Kraus operators than either dimension the restricted map
+    # is generically scalable to any spectra, so the factors stay bounded.
+    T = random_cpmap(rng, M.m, M.n, max(M.m, M.n) + 1)
+    res = general_scale(T, M, SolverConfig(epsilon=1e-3, seed=seed,
+                                           max_iterations=300))
+    Tr, Mr, emb = project_to_support(T, M)
+    for F, mask in ((res.pair.g, emb.q_mask), (res.pair.h, emb.p_mask)):
+        npt.assert_array_equal(F[np.ix_(~mask, ~mask)],
+                               np.eye(int((~mask).sum())))
+        assert not F[np.ix_(~mask, mask)].any()
+        assert not F[np.ix_(mask, ~mask)].any()
+    block = ScalingPair(res.pair.g[np.ix_(emb.q_mask, emb.q_mask)],
+                        res.pair.h[np.ix_(emb.p_mask, emb.p_mask)])
+    npt.assert_allclose(converted_errors(T, M, *convert_pair(res.pair, M)),
+                        converted_errors(Tr, Mr, *convert_pair(block, Mr)),
+                        rtol=1e-9, atol=1e-15)
+
+
+@st.composite
+def dyadic_diagonal_and_spectrum(draw):
+    """(p, q) of multiples of 2^k / 8: every partial-sum gap is exactly 0 or
+    at least 2^k / 8.  q starts as p and moves units between entries, so
+    both majorized and non-majorized pairs, and ties, come up; a flag
+    breaks the trace equality."""
+    n = draw(st.integers(1, 10))
+    p = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    if not p.any():
+        p[0] = 1
+    q = list(p) + [0] * draw(st.integers(0, 2))
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, len(q) - 1),
+                                           st.integers(0, len(q) - 1),
+                                           st.integers(1, 4)), max_size=8)):
+        k = min(k, q[i])
+        q[i] -= k
+        q[j] += k
+    q = np.array(q)
+    if draw(st.booleans()):
+        q[int(np.argmax(q))] += draw(st.sampled_from([-1, 1]))
+    unit = math.ldexp(1.0, draw(st.integers(-12, 12))) / 8.0
+    return unit * p, unit * q
+
+
+@given(dyadic_diagonal_and_spectrum(), seeds)
+def test_majorization_decides_polymatroid_membership_of_gaussian_frames(pq,
+                                                                        seed):
+    p, q = pq
+    q_pos = -np.sort(-q[q > 0])
+    if not q_pos.size:
+        return
+    n = p.size
+    if q_pos.size > n:
+        majorized = False
+    else:
+        q_padded = np.concatenate([q_pos, np.zeros(n - q_pos.size)])
+        majorized = _majorizes(q_padded, p, 1e-12 * max(1.0, float(p.sum())))
+    p_pos = p[p > 0]
+    U = random_complex(np.random.default_rng(seed), (q_pos.size, p_pos.size))
+    assert polymatroid_membership(ForsterInstance(U, p_pos, q_pos)) == majorized

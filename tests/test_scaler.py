@@ -16,6 +16,8 @@ from opscale import (
     CPMap,
     ERROR_BUDGET,
     ERROR_NOT_PD,
+    ERROR_SINGULAR_INIT,
+    INCONCLUSIVE,
     MarginalSpec,
     ScalingPair,
     SUCCESS,
@@ -30,7 +32,7 @@ from opscale import (
     project_to_support,
     triangular_scale,
 )
-from opscale import cpmap, feasibility, relmetrics
+from opscale import cpmap, feasibility, relmetrics, scaler
 from opscale.cpmap import scale
 
 
@@ -261,20 +263,17 @@ class TestSupportProjection:
         with pytest.raises(AllZeroSpectrum):
             project_to_support(T, MarginalSpec([0.0, 0.0], [0.0, 0.0]))
 
-    def test_lift_places_fill_off_support(self):
-        T = CPMap([np.eye(2, dtype=complex)])
-        M = MarginalSpec([1.0, 0.0], [1.0, 0.0])
+    def test_lift_is_identity_off_support(self):
+        T = CPMap([np.eye(3, dtype=complex)])
+        M = MarginalSpec([0.6, 0.4, 0.0], [0.5, 0.5, 0.0], (2, 1), (3,))
         _, _, emb = project_to_support(T, M)
-        pair = lift_pair(ScalingPair([[2.0]], [[3.0]]), emb, fill=0.5)
-        npt.assert_array_equal(pair.g, np.diag([2.0, 0.5]))
-        npt.assert_array_equal(pair.h, np.diag([3.0, 0.5]))
-
-    def test_lift_rejects_nonpositive_fill(self):
-        T = CPMap([np.eye(2, dtype=complex)])
-        _, _, emb = project_to_support(
-            T, MarginalSpec([1.0, 0.0], [1.0, 0.0]))
-        with pytest.raises(ValueError):
-            lift_pair(ScalingPair([[1.0]], [[1.0]]), emb, fill=0.0)
+        g = np.array([[2.0, 1.0], [0.0, 3.0]])
+        pair = lift_pair(ScalingPair(g, 4.0 * g), emb)
+        expected = np.eye(3, dtype=complex)
+        expected[:2, :2] = g
+        npt.assert_array_equal(pair.g, expected)
+        expected[:2, :2] = 4.0 * g
+        npt.assert_array_equal(pair.h, expected)
 
 
 class TestNormalizedSpec:
@@ -332,6 +331,21 @@ def test_traced_layers_are_called_once_per_step(monkeypatch, solve, instance,
     assert res.status == status
     assert counts["balance_factor"] == res.iterations + (status == ERROR_NOT_PD)
     assert counts["ds_from_marginals"] == res.iterations + 1
+
+
+def test_singular_draws_end_in_error_singular_init(monkeypatch):
+    draws = []
+    monkeypatch.setattr(scaler, "_comfortably_invertible",
+                        lambda mat: draws.append(mat.shape) or False)
+    T, M = _zero_tail_instance(np.random.default_rng(5))
+    res = general_scale(T, M, SolverConfig(epsilon=1e-4, seed=3))
+    assert res.status == ERROR_SINGULAR_INIT
+    assert (res.iterations, res.ds_trace) == (0, ())
+    npt.assert_array_equal(res.pair.g, np.eye(M.m))
+    npt.assert_array_equal(res.pair.h, np.eye(M.n))
+    # three draws; each is rejected on its output factor, of support size 2
+    assert draws == [(2, 2)] * 3
+    assert decide_scalable(T, M, seed=3).verdict == INCONCLUSIVE
 
 
 def _positive_instance(rng):
