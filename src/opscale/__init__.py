@@ -7,135 +7,25 @@ identity and, dually, diag(q) back to the identity.  Matrix scaling,
 the Horn eigenvalue problem for sums of Hermitian matrices, Forster's
 radial isotropic position, and the Schur-Horn inverse problem are all
 special cases, exposed under their own names and as CLI subcommands.
+
+Each public name is listed once, in the __all__ of the submodule that
+defines it; the package re-exports all of them.  The CLI (opscale.cli)
+is the entry point and is not re-exported.
 """
 
-from .apps import (
-    ForsterInstance,
-    ForsterSolution,
-    HornInstance,
-    HornNormalization,
-    HornSolution,
-    MatrixScalingInstance,
-    MatrixScalingSolution,
-    SchurHornSolution,
-    build_forster_cpmap,
-    build_horn_cpmap,
-    build_matrix_cpmap,
-    forster_scale,
-    horn_normalize,
-    horn_solve,
-    matrix_scale,
-    polymatroid_membership,
-    rc_feasible,
-    schur_horn,
-)
-from .cpmap import (
-    CPMap,
-    MarginalSpec,
-    ScalingPair,
-    apply,
-    balance_factor,
-    convert_pair,
-    dual_apply,
-    hermitian_part,
-    marginals,
-    scale,
-    singular_floor,
-)
-from .exceptions import (
-    AllZeroSpectrum,
-    DimensionTooLarge,
-    InfeasibleInstance,
-    NonIntegralSpectrum,
-    NotInvertible,
-    NotPositiveDefinite,
-    OpscaleError,
-    ScalingFailure,
-)
-from .feasibility import (
-    FEASIBLE,
-    INCONCLUSIVE,
-    INFEASIBLE,
-    FeasibilityVerdict,
-    bit_complexity,
-    certificate_epsilon,
-    decide_scalable,
-)
-from .reduction import (
-    Partition,
-    build_truncation,
-    conjugate_partition,
-    gadget_apply,
-    gadget_dual_apply,
-)
-from .relmetrics import (
-    CapacityEstimate,
-    CapacityTrace,
-    capacity_change_factor,
-    capacity_lower_bound,
-    deltas,
-    ds_distance,
-    ds_from_marginals,
-    ds_threshold,
-    estimate_capacity,
-    log_capacity_change_factor,
-    log_capacity_lower_bound,
-    log_relative_det,
-    rel_det_multiplicativity_check,
-    relative_det,
-    relative_det_signed,
-    shannon_entropy,
-)
-from .scaler import (
-    ERROR_BUDGET,
-    ERROR_NOT_PD,
-    ERROR_SINGULAR_INIT,
-    SUCCESS,
-    ScalingResult,
-    SolverConfig,
-    SupportEmbedding,
-    general_scale,
-    hard_cap,
-    iteration_budget,
-    lift_pair,
-    project_to_support,
-    triangular_scale,
-)
+from . import apps, cpmap, exceptions, feasibility, reduction, relmetrics, scaler
+from .apps import *  # noqa: F403
+from .cpmap import *  # noqa: F403
+from .exceptions import *  # noqa: F403
+from .feasibility import *  # noqa: F403
+from .reduction import *  # noqa: F403
+from .relmetrics import *  # noqa: F403
+from .scaler import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core map algebra
-    "CPMap", "MarginalSpec", "ScalingPair", "apply", "dual_apply", "scale",
-    "marginals", "balance_factor", "convert_pair", "hermitian_part",
-    "singular_floor",
-    # relative determinants / ds / capacity
-    "deltas", "log_relative_det", "relative_det", "relative_det_signed",
-    "rel_det_multiplicativity_check", "ds_from_marginals", "ds_distance",
-    "ds_threshold", "log_capacity_change_factor", "capacity_change_factor",
-    "log_capacity_lower_bound", "capacity_lower_bound", "shannon_entropy",
-    "CapacityTrace", "CapacityEstimate", "estimate_capacity",
-    # partitions and truncation
-    "Partition", "conjugate_partition", "gadget_apply", "gadget_dual_apply",
-    "build_truncation",
-    # solvers
-    "SUCCESS", "ERROR_NOT_PD", "ERROR_BUDGET", "ERROR_SINGULAR_INIT",
-    "SolverConfig", "ScalingResult", "SupportEmbedding", "project_to_support",
-    "lift_pair", "hard_cap", "iteration_budget", "triangular_scale",
-    "general_scale",
-    # feasibility
-    "FEASIBLE", "INFEASIBLE", "INCONCLUSIVE", "bit_complexity",
-    "certificate_epsilon", "FeasibilityVerdict", "decide_scalable",
-    # applications
-    "MatrixScalingInstance", "MatrixScalingSolution", "build_matrix_cpmap",
-    "rc_feasible", "matrix_scale", "HornInstance", "HornSolution",
-    "HornNormalization", "build_horn_cpmap", "horn_normalize", "horn_solve",
-    "ForsterInstance", "ForsterSolution", "build_forster_cpmap",
-    "polymatroid_membership", "forster_scale", "SchurHornSolution",
-    "schur_horn",
-    # errors
-    "OpscaleError", "NotPositiveDefinite", "NotInvertible", "AllZeroSpectrum",
-    "NonIntegralSpectrum", "DimensionTooLarge", "InfeasibleInstance",
-    "ScalingFailure",
+__all__ = ["__version__"] + [
+    name
+    for module in (cpmap, relmetrics, reduction, scaler, feasibility, apps, exceptions)
+    for name in module.__all__
 ]

@@ -305,9 +305,8 @@ def horn_solve(instance, epsilon, seed=0, max_iterations=None):
     result = _run(T, M, eps_int, seed, max_iterations)
     g, h = result.pair.g, result.pair.h
     matrices = []
-    for i in range(s):
-        hi = h[i * m:(i + 1) * m, i * m:(i + 1) * m]
-        Bi = g.conj().T @ hi @ np.diag(np.sqrt(instance.spectra[i]))
+    for blk, v in zip(M.p_slices(), instance.spectra):
+        Bi = g.conj().T @ h[blk, blk] @ np.diag(np.sqrt(v))
         matrices.append(hermitian_part(Bi @ Bi.conj().T))
     return HornSolution(matrices=tuple(matrices), result=result, cpmap=T, spec=M)
 
@@ -502,7 +501,9 @@ def schur_horn(diagonal, spectrum, epsilon, seed=0, max_iterations=None):
     and assemble the frame V = [sqrt(p_i) w_i]; H = V^dag V then has
     diagonal exactly p (the w_i are unit) and its nonzero spectrum is
     that of sum p_i w_i w_i^dag ~= diag(q).  A degenerate draw
-    (probability zero) surfaces as ScalingFailure.
+    (probability zero) surfaces as ScalingFailure.  Raises ValueError when
+    the data are not nonempty nonnegative vectors, or when they or their
+    totals are not finite.
     """
     p = _finite(diagonal, "diagonal")
     q = _finite(spectrum, "spectrum")
@@ -510,6 +511,10 @@ def schur_horn(diagonal, spectrum, epsilon, seed=0, max_iterations=None):
         raise ValueError("diagonal and spectrum must be nonempty vectors")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("diagonal and spectrum must be nonnegative")
+    # An overflowing total would make the trace tolerance inf (Python float
+    # sums overflow to inf without a warning).
+    if not (math.isfinite(sum(p.tolist())) and math.isfinite(sum(q.tolist()))):
+        raise ValueError("the totals of diagonal and spectrum must be finite")
     n = p.size
     q_pos = -np.sort(-q[q > 0])
     if q_pos.size > n:

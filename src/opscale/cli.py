@@ -10,10 +10,12 @@ Subcommands
     schurhorn  Hermitian matrix with given diagonal and spectrum
 
 Instances are JSON objects with a "kind" field; complex entries are
-written as [re, im] pairs (plain numbers are taken as real).  Reports
-are JSON with a fixed field order, every number printed with 17
-significant digits, and wall_time_ms as the last field; --trace adds
-the per-iteration ds values.  A one-line human summary goes to stderr.
+written as [re, im] pairs (plain numbers are taken as real); one table,
+_SCHEMAS, gives each kind's fields.  Every command reports through one
+runner, _run.  Reports are JSON with a fixed field order, every number
+printed with 17 significant digits, and wall_time_ms as the last field;
+--trace adds the per-iteration ds values.  A one-line human summary goes
+to stderr.
 
 Exit codes: 0 SUCCESS/FEASIBLE, 1 INFEASIBLE or a definite failure
 (ERROR_NOT_PD, ERROR_SINGULAR_INIT), 2 inconclusive outcomes
@@ -23,6 +25,7 @@ Exit codes: 0 SUCCESS/FEASIBLE, 1 INFEASIBLE or a definite failure
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -69,15 +72,9 @@ class _UsageError(Exception):
     pass
 
 
-_EXIT_CODES = {
-    SUCCESS: 0,
-    FEASIBLE: 0,
-    ERROR_NOT_PD: 1,
-    ERROR_SINGULAR_INIT: 1,
-    INFEASIBLE: 1,
-    INCONCLUSIVE: 2,
-    ERROR_BUDGET: 2,
-}
+# The report's verdict (check) or status decides the exit code.
+_EXIT_CODES = {SUCCESS: 0, FEASIBLE: 0, ERROR_NOT_PD: 1, ERROR_SINGULAR_INIT: 1,
+               INFEASIBLE: 1, INCONCLUSIVE: 2, ERROR_BUDGET: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -104,131 +101,77 @@ def _complex_entry(x, where):
     raise SchemaError(f"{where}: expected a number or [re, im] pair, got {x!r}")
 
 
-def _real_vector(obj, where):
+def _each(obj, where, convert):
+    """convert applied to every item of a nonempty JSON array."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a nonempty array")
-    return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(obj)])
+    return [convert(x, f"{where}[{i}]") for i, x in enumerate(obj)]
 
 
-def _matrix(obj, where, entry):
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"{where}: expected a nonempty 2-d array")
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
-            raise SchemaError(f"{where}[{i}]: expected a nonempty array")
-        rows.append([entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-        if len(rows[-1]) != len(rows[0]):
-            raise SchemaError(f"{where}[{i}]: ragged rows")
-    return np.array(rows)
+def _vector(obj, where):
+    return np.array(_each(obj, where, _number))
 
 
-def _real_matrix(obj, where):
-    return _matrix(obj, where, _number)
+def _matrix(entry):
+    """Reader of a nonempty 2-d array of `entry` values, rows of one length."""
+    def read(obj, where):
+        rows = _each(obj, where, lambda row, w: _each(row, w, entry))
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise SchemaError(f"{where}[{i}]: ragged rows")
+        return np.array(rows)
+    return read
 
 
-def _complex_matrix(obj, where):
-    return _matrix(obj, where, _complex_entry)
-
-
-def _require(data, field, kind):
-    if field not in data:
-        raise SchemaError(f"{kind}: missing required field {field!r}")
-    return data[field]
-
-
-def _opt_blocks(data, field):
-    if field not in data or data[field] is None:
+def _blocks(obj, where):
+    if obj is None:
         return None
-    obj = data[field]
     if not isinstance(obj, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in obj
     ):
-        raise SchemaError(f"{field}: expected an array of positive integers")
+        raise SchemaError(f"{where}: expected an array of positive integers")
     return tuple(obj)
 
 
-def _wrap_domain_error(kind, build):
-    try:
-        return build()
-    except (ValueError, OpscaleError) as err:
-        if isinstance(err, (ParseError, SchemaError)):
-            raise
-        raise SchemaError(f"{kind}: {err}") from err
+def _build_horn(spectra=None, alpha=None, beta=None, gamma=None):
+    if spectra is not None:
+        return {"instance": HornInstance(spectra), "abc": None}
+    if not (alpha.size == beta.size == gamma.size):
+        raise SchemaError("horn: alpha, beta, gamma must share one length")
+    return {"instance": None, "abc": (alpha, beta, gamma)}
 
 
-def _parse_cpmap(data):
-    kraus_obj = _require(data, "kraus", "cpmap")
-    if not isinstance(kraus_obj, list) or not kraus_obj:
-        raise SchemaError("cpmap: kraus must be a nonempty array of matrices")
-    kraus = [_complex_matrix(K, f"kraus[{i}]") for i, K in enumerate(kraus_obj)]
-    p = _real_vector(_require(data, "p", "cpmap"), "p")
-    q = _real_vector(_require(data, "q", "cpmap"), "q")
-    T = _wrap_domain_error("cpmap", lambda: CPMap(kraus))
-    spec = _wrap_domain_error(
-        "cpmap",
-        lambda: MarginalSpec(p, q, _opt_blocks(data, "p_blocks"),
-                             _opt_blocks(data, "q_blocks")),
-    )
-    return {"kind": "cpmap", "map": T, "spec": spec}
+_complex_matrix = _matrix(_complex_entry)
 
+# How each field is read; every field not named here is a real vector.
+_FIELDS = {
+    "kraus": lambda obj, where: _each(obj, where, _complex_matrix),
+    "matrix": _matrix(_number),
+    "vectors": _complex_matrix,
+    "spectra": lambda obj, where: _each(obj, where, _vector),
+    "p_blocks": _blocks,
+    "q_blocks": _blocks,
+}
 
-def _parse_matscale(data):
-    inst = _wrap_domain_error(
-        "matscale",
-        lambda: MatrixScalingInstance(
-            _real_matrix(_require(data, "matrix", "matscale"), "matrix"),
-            _real_vector(_require(data, "row_sums", "matscale"), "row_sums"),
-            _real_vector(_require(data, "col_sums", "matscale"), "col_sums"),
-        ),
-    )
-    return {"kind": "matscale", "instance": inst}
-
-
-def _parse_horn(data):
-    if "spectra" in data:
-        obj = data["spectra"]
-        if not isinstance(obj, list) or not obj:
-            raise SchemaError("horn: spectra must be a nonempty array of arrays")
-        spectra = [_real_vector(v, f"spectra[{i}]") for i, v in enumerate(obj)]
-        inst = _wrap_domain_error("horn", lambda: HornInstance(spectra))
-        return {"kind": "horn", "instance": inst, "abc": None}
-    if all(k in data for k in ("alpha", "beta", "gamma")):
-        abc = tuple(_real_vector(data[k], k) for k in ("alpha", "beta", "gamma"))
-        if not (abc[0].size == abc[1].size == abc[2].size):
-            raise SchemaError("horn: alpha, beta, gamma must share one length")
-        return {"kind": "horn", "instance": None, "abc": abc}
-    raise SchemaError("horn: provide either 'spectra' or 'alpha'/'beta'/'gamma'")
-
-
-def _parse_forster(data):
-    inst = _wrap_domain_error(
-        "forster",
-        lambda: ForsterInstance(
-            _complex_matrix(_require(data, "vectors", "forster"), "vectors"),
-            _real_vector(_require(data, "weights", "forster"), "weights"),
-            _real_vector(_require(data, "spectrum", "forster"), "spectrum"),
-        ),
-    )
-    return {"kind": "forster", "instance": inst}
-
-
-def _parse_schurhorn(data):
-    return {
-        "kind": "schurhorn",
-        "diagonal": _real_vector(_require(data, "diagonal", "schurhorn"),
-                                 "diagonal"),
-        "spectrum": _real_vector(_require(data, "spectrum", "schurhorn"),
-                                 "spectrum"),
-    }
-
-
-_PARSERS = {
-    "cpmap": _parse_cpmap,
-    "matscale": _parse_matscale,
-    "horn": _parse_horn,
-    "forster": _parse_forster,
-    "schurhorn": _parse_schurhorn,
+# kind: (builder, required fields, optional fields).  The builder gets the
+# read fields as keywords.  Required fields are alternatives: the first
+# whose fields are all present is read, and only it.
+_SCHEMAS = {
+    "cpmap": (
+        lambda kraus, p, q, p_blocks=None, q_blocks=None: {
+            "map": CPMap(kraus), "spec": MarginalSpec(p, q, p_blocks, q_blocks)},
+        [("kraus", "p", "q")], ("p_blocks", "q_blocks"),
+    ),
+    "matscale": (
+        lambda **f: {"instance": MatrixScalingInstance(**f)},
+        [("matrix", "row_sums", "col_sums")], (),
+    ),
+    "horn": (_build_horn, [("spectra",), ("alpha", "beta", "gamma")], ()),
+    "forster": (
+        lambda **f: {"instance": ForsterInstance(**f)},
+        [("vectors", "weights", "spectrum")], (),
+    ),
+    "schurhorn": (dict, [("diagonal", "spectrum")], ()),
 }
 
 
@@ -243,11 +186,27 @@ def parse_instance(text):
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
     kind = data.get("kind")
-    if kind not in _PARSERS:
+    if kind not in _SCHEMAS:
         raise SchemaError(
-            f"unknown kind {kind!r}; expected one of {sorted(_PARSERS)}"
+            f"unknown kind {kind!r}; expected one of {sorted(_SCHEMAS)}"
         )
-    return _PARSERS[kind](data)
+    build, choices, optional = _SCHEMAS[kind]
+    required = next((c for c in choices if all(f in data for f in c)), None)
+    if required is None and len(choices) > 1:
+        raise SchemaError(f"{kind}: provide either " + " or ".join(
+            "/".join(map(repr, c)) for c in choices))
+    fields = {}
+    for field in (required or choices[0]) + optional:
+        if field in data:
+            fields[field] = _FIELDS.get(field, _vector)(data[field], field)
+        elif field not in optional:
+            raise SchemaError(f"{kind}: missing required field {field!r}")
+    try:
+        return {"kind": kind, **build(**fields)}
+    except SchemaError:
+        raise
+    except (ValueError, OpscaleError) as err:
+        raise SchemaError(f"{kind}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +251,99 @@ def dumps_report(report):
 
 
 # ---------------------------------------------------------------------------
-# Report assembly
+# Commands: each is called as (inst, epsilon, seed=..., max_iterations=...)
+# and returns (solved, its own report fields); a ScalingFailure it raises
+# is reported by _run instead.
+
+# A cpmap command's run, shaped like an app solution.
+_Solved = collections.namedtuple("_Solved", "result cpmap spec verdict",
+                                 defaults=(None,))
+
+
+def _scale(inst, epsilon, **options):
+    T, M = inst["map"], inst["spec"]
+    result = general_scale(T, M, SolverConfig(epsilon=epsilon, **options))
+    return _Solved(result, T, M), {"g": result.pair.g, "h": result.pair.h}
+
+
+def _check(inst, epsilon, **options):
+    T, M = inst["map"], inst["spec"]
+    verdict = decide_scalable(T, M, **options)
+    return _Solved(verdict.result, T, M, verdict.verdict), {}
+
+
+def _matscale(inst, epsilon, **options):
+    A = inst["instance"]
+    sol = matrix_scale(A, epsilon, **options)
+    B = sol.scaled_matrix
+    return sol, {
+        "row_scale": sol.row_scale,
+        "col_scale": sol.col_scale,
+        "scaled_matrix": B,
+        "sum_errors": {
+            "row": float(np.max(np.abs(B.sum(axis=1) - A.row_sums))),
+            "col": float(np.max(np.abs(B.sum(axis=0) - A.col_sums))),
+        },
+    }
+
+
+def _horn(inst, epsilon, **options):
+    instance, normalization = inst["instance"], None
+    if instance is None:
+        normalization = horn_normalize(*inst["abc"])
+        instance = normalization.instance
+    sol = horn_solve(instance, epsilon, **options)
+    fields = {
+        "matrices": [np.asarray(H, dtype=np.complex128) for H in sol.matrices],
+        "sum_error": float(np.linalg.norm(sum(sol.matrices) - np.eye(instance.m))),
+    }
+    if normalization is not None:
+        fields["normalization"] = {"shifts": list(normalization.shifts),
+                                   "scale": normalization.scale}
+        A, B, C = normalization.invert(sol.matrices)
+        fields["recovered"] = {"A": A, "B": B, "C": C}
+    return sol, fields
+
+
+def _forster(inst, epsilon, **options):
+    instance = inst["instance"]
+    sol = forster_scale(instance, epsilon, **options)
+    gram = (sol.vectors * instance.weights[None, :]) @ sol.vectors.conj().T
+    return sol, {
+        "transform": sol.transform,
+        "vectors": sol.vectors,
+        "isotropy_error": float(np.linalg.norm(gram - np.diag(instance.spectrum))),
+    }
+
+
+def _schurhorn(inst, epsilon, **options):
+    p, q = inst["diagonal"], inst["spectrum"]
+    sol = schur_horn(p, q, epsilon, **options)
+    H = sol.matrix
+    eigs = np.sort(np.linalg.eigvalsh(H))[::-1]
+    q_padded = np.concatenate(
+        [-np.sort(-q[q > 0]), np.zeros(p.size - np.count_nonzero(q > 0))]
+    )
+    return sol, {
+        "matrix": H,
+        "errors": {
+            "diagonal": float(np.max(np.abs(np.diag(H).real - p))),
+            "spectrum": float(np.max(np.abs(eigs - q_padded))),
+        },
+    }
+
+
+# command: (instance kind, solve, whether the report shows the operator
+# instance solved).  Schur-Horn solves an internal Forster instance, which
+# its report leaves out.
+_COMMANDS = {
+    "scale": ("cpmap", _scale, True),
+    "check": ("cpmap", _check, True),
+    "matscale": ("matscale", _matscale, True),
+    "horn": ("horn", _horn, True),
+    "forster": ("forster", _forster, True),
+    "schurhorn": ("schurhorn", _schurhorn, False),
+}
 
 
 # Overflowing marginals are reported as null errors, not warned about.
@@ -305,157 +356,43 @@ def _marginal_errors(T, M, pair):
     }
 
 
-def _capacity_block(trace):
-    ups = trace.upper_estimates
-    return {
-        "cumulative_log_factor": trace.cumulative,
-        "log_lower_bound": trace.log_lower_bound,
+def _run(args, inst):
+    """The report of one command: solve, then the run, then its own fields."""
+    kind, solve, shows_operator = _COMMANDS[args.command]
+    report = {"command": args.command, "kind": kind}
+    try:
+        solved, fields = solve(inst, args.epsilon, seed=args.seed,
+                               max_iterations=args.max_iters)
+    except InfeasibleInstance as err:
+        report.update(seed=args.seed, status=INFEASIBLE, reason=str(err))
+        return report
+    except ScalingFailure as err:
+        solved, fields = err, {}
+    if getattr(solved, "verdict", None) is not None:
+        report["verdict"] = solved.verdict
+    result = solved.result
+    report.update(
+        seed=args.seed,
+        status=result.status,
+        epsilon=result.epsilon,
+        iterations=result.iterations,
+        final_ds=result.ds_trace[-1] if result.ds_trace else None,
+        threshold=result.threshold,
+    )
+    if shows_operator:
+        T, M = solved.cpmap, solved.spec
+        report["marginal_errors"] = _marginal_errors(T, M, result.pair)
+        report["instance"] = {"m": T.m, "n": T.n, "kraus": T.r}
+    ups = result.capacity_trace.upper_estimates
+    report["capacity"] = {
+        "cumulative_log_factor": result.capacity_trace.cumulative,
+        "log_lower_bound": result.capacity_trace.log_lower_bound,
         "final_upper_estimate": ups[-1] if ups else None,
     }
-
-
-def _result_fields(result, T=None, M=None):
-    fields = {
-        "status": result.status,
-        "epsilon": result.epsilon,
-        "iterations": result.iterations,
-        "final_ds": result.ds_trace[-1] if result.ds_trace else None,
-        "threshold": result.threshold,
-    }
-    if T is not None:
-        fields["marginal_errors"] = _marginal_errors(T, M, result.pair)
-        fields["instance"] = {"m": T.m, "n": T.n, "kraus": T.r}
-    fields["capacity"] = _capacity_block(result.capacity_trace)
-    return fields
-
-
-def _complex_mat(a):
-    return np.asarray(a, dtype=np.complex128)
-
-
-# ---------------------------------------------------------------------------
-# Subcommand implementations: each returns (report dict, exit code)
-
-
-def _cmd_scale(args, inst):
-    T, M = inst["map"], inst["spec"]
-    config = SolverConfig(epsilon=args.epsilon, seed=args.seed,
-                          max_iterations=args.max_iters)
-    result = general_scale(T, M, config)
-    report = {"command": "scale", "kind": "cpmap", "seed": args.seed}
-    report.update(_result_fields(result, T, M))
-    report["g"] = result.pair.g
-    report["h"] = result.pair.h
-    return report, _EXIT_CODES.get(result.status, 2), result
-
-
-def _cmd_check(args, inst):
-    T, M = inst["map"], inst["spec"]
-    verdict = decide_scalable(T, M, seed=args.seed,
-                              max_iterations=args.max_iters)
-    report = {"command": "check", "kind": "cpmap",
-              "verdict": verdict.verdict, "seed": args.seed}
-    report.update(_result_fields(verdict.result, T, M))
-    return report, _EXIT_CODES.get(verdict.verdict, 2), verdict.result
-
-
-def _run_app(args, solve, instance):
-    """Run an app solver: (report, solution or None on failure, result).
-
-    The report holds the result fields for the operator instance the app
-    solved, which the solution (or its ScalingFailure) carries.
-    """
-    report = {"command": args.command, "kind": args.command, "seed": args.seed}
-    try:
-        sol = solve(instance, args.epsilon, seed=args.seed,
-                    max_iterations=args.max_iters)
-    except ScalingFailure as err:
-        report.update(_result_fields(err.result, err.cpmap, err.spec))
-        return report, None, err.result
-    report.update(_result_fields(sol.result, sol.cpmap, sol.spec))
-    return report, sol, sol.result
-
-
-def _cmd_matscale(args, inst):
-    instance = inst["instance"]
-    report, sol, result = _run_app(args, matrix_scale, instance)
-    if sol is not None:
-        B = sol.scaled_matrix
-        report["row_scale"] = sol.row_scale
-        report["col_scale"] = sol.col_scale
-        report["scaled_matrix"] = B
-        report["sum_errors"] = {
-            "row": float(np.max(np.abs(B.sum(axis=1) - instance.row_sums))),
-            "col": float(np.max(np.abs(B.sum(axis=0) - instance.col_sums))),
-        }
-    return report, _EXIT_CODES.get(result.status, 2), result
-
-
-def _cmd_horn(args, inst):
-    normalization = None
-    instance = inst["instance"]
-    if instance is None:
-        alpha, beta, gamma = inst["abc"]
-        normalization = horn_normalize(alpha, beta, gamma)
-        instance = normalization.instance
-    report, sol, result = _run_app(args, horn_solve, instance)
-    if sol is not None:
-        report["matrices"] = [_complex_mat(H) for H in sol.matrices]
-        total = sum(sol.matrices) - np.eye(instance.m)
-        report["sum_error"] = float(np.linalg.norm(total))
-        if normalization is not None:
-            u, v, w = normalization.shifts
-            report["normalization"] = {"shifts": [u, v, w],
-                                       "scale": normalization.scale}
-            A, B, C = normalization.invert(sol.matrices)
-            report["recovered"] = {"A": A, "B": B, "C": C}
-    return report, _EXIT_CODES.get(result.status, 2), result
-
-
-def _cmd_forster(args, inst):
-    instance = inst["instance"]
-    report, sol, result = _run_app(args, forster_scale, instance)
-    if sol is not None:
-        report["transform"] = sol.transform
-        report["vectors"] = sol.vectors
-        gram = (sol.vectors * instance.weights[None, :]) @ sol.vectors.conj().T
-        report["isotropy_error"] = float(
-            np.linalg.norm(gram - np.diag(instance.spectrum))
-        )
-    return report, _EXIT_CODES.get(result.status, 2), result
-
-
-def _cmd_schurhorn(args, inst):
-    p, q = inst["diagonal"], inst["spectrum"]
-    report = {"command": "schurhorn", "kind": "schurhorn", "seed": args.seed}
-    try:
-        sol = schur_horn(p, q, args.epsilon, seed=args.seed,
-                         max_iterations=args.max_iters)
-    except ScalingFailure as err:
-        report.update(_result_fields(err.result))
-        return report, _EXIT_CODES.get(err.status, 2), err.result
-    report.update(_result_fields(sol.result))
-    H = sol.matrix
-    report["matrix"] = H
-    eigs = np.sort(np.linalg.eigvalsh(H))[::-1]
-    q_padded = np.concatenate(
-        [-np.sort(-q[q > 0]), np.zeros(p.size - np.count_nonzero(q > 0))]
-    )
-    report["errors"] = {
-        "diagonal": float(np.max(np.abs(np.diag(H).real - p))),
-        "spectrum": float(np.max(np.abs(eigs - q_padded))),
-    }
-    return report, _EXIT_CODES.get(sol.result.status, 2), sol.result
-
-
-_COMMANDS = {
-    "scale": ("cpmap", _cmd_scale),
-    "check": ("cpmap", _cmd_check),
-    "matscale": ("matscale", _cmd_matscale),
-    "horn": ("horn", _cmd_horn),
-    "forster": ("forster", _cmd_forster),
-    "schurhorn": ("schurhorn", _cmd_schurhorn),
-}
+    report.update(fields)
+    if args.trace:
+        report["ds_trace"] = list(result.ds_trace)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +409,7 @@ def build_parser():
                      description="Operator scaling of CP maps and friends")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, (kind, _fn) in _COMMANDS.items():
+    for name, (kind, _solve, _shows) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"{name} ({kind} instances)")
         p.add_argument("instance",
                        help="path to a JSON instance file ('-' for stdin)")
@@ -505,9 +442,12 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _outcome(report):
+    return report.get("verdict", report["status"])
+
+
 def _summary_line(report):
-    status = report.get("verdict", report.get("status", "?"))
-    bits = [f"{report['command']}: {status}"]
+    bits = [f"{report['command']}: {_outcome(report)}"]
     if report.get("iterations") is not None:
         bits.append(f"{report['iterations']} iterations")
     if report.get("final_ds") is not None:
@@ -517,13 +457,17 @@ def _summary_line(report):
     return ", ".join(bits)
 
 
+def _error(err):
+    print(f"opscale: error: {err}", file=sys.stderr)
+    return 3
+
+
 def main(argv=None):
     """Entry point; returns the process exit code."""
     try:
         args = _parser().parse_args(argv)
     except _UsageError as err:
-        print(f"opscale: error: {err}", file=sys.stderr)
-        return 3
+        return _error(err)
     started = time.perf_counter()
     try:
         if args.instance == "-":
@@ -532,32 +476,22 @@ def main(argv=None):
             with open(args.instance, "r", encoding="utf-8") as fh:
                 text = fh.read()
         inst = parse_instance(text)
-        expected_kind, fn = _COMMANDS[args.command]
+        expected_kind = _COMMANDS[args.command][0]
         if inst["kind"] != expected_kind:
             raise SchemaError(
                 f"command {args.command!r} needs kind {expected_kind!r}, "
                 f"got {inst['kind']!r}"
             )
-        try:
-            report, code, result = fn(args, inst)
-            if args.trace and result is not None:
-                report["ds_trace"] = list(result.ds_trace)
-        except InfeasibleInstance as err:
-            report = {"command": args.command, "kind": inst["kind"],
-                      "seed": args.seed, "status": INFEASIBLE,
-                      "reason": str(err)}
-            code = 1
+        report = _run(args, inst)
     except (OpscaleError, OSError, ValueError) as err:
-        print(f"opscale: error: {err}", file=sys.stderr)
-        return 3
+        return _error(err)
     report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
     try:
         _emit(report, args)
     except OSError as err:
-        print(f"opscale: error: {err}", file=sys.stderr)
-        return 3
+        return _error(err)
     print(_summary_line(report), file=sys.stderr)
-    return code
+    return _EXIT_CODES.get(_outcome(report), 2)
 
 
 if __name__ == "__main__":

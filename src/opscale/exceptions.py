@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OpscaleError",
+    "NotPositiveDefinite",
+    "NotInvertible",
+    "AllZeroSpectrum",
+    "NonIntegralSpectrum",
+    "DimensionTooLarge",
+    "InfeasibleInstance",
+    "ScalingFailure",
+]
+
 
 class OpscaleError(Exception):
     """Base class for all errors raised by this package."""

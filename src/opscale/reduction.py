@@ -28,7 +28,7 @@ from math import lcm
 
 import numpy as np
 
-from .cpmap import CPMap, MarginalSpec
+from .cpmap import CPMap, MarginalSpec, _block_slices
 from .exceptions import AllZeroSpectrum, NonIntegralSpectrum
 
 __all__ = [
@@ -85,13 +85,6 @@ class Partition:
         return Partition(conjugate_partition(self.parts))
 
 
-def _offsets(parts):
-    off = [0]
-    for x in parts:
-        off.append(off[-1] + x)
-    return off
-
-
 def gadget_apply(lam, X):
     """G_lam(X): direct sum of the leading lam'_i corners of X."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
@@ -101,9 +94,8 @@ def gadget_apply(lam, X):
         raise ValueError(f"X must be square of dimension >= {conj[0]}")
     N = lam.total
     out = np.zeros((N, N), dtype=np.complex128)
-    off = _offsets(conj)
-    for i, c in enumerate(conj):
-        out[off[i]:off[i + 1], off[i]:off[i + 1]] = X[:c, :c]
+    for c, s in zip(conj, _block_slices(conj)):
+        out[s, s] = X[:c, :c]
     return out
 
 
@@ -119,9 +111,8 @@ def gadget_dual_apply(lam, Y, dim=None):
     if dim < conj[0]:
         raise ValueError(f"output dimension must be >= {conj[0]}")
     out = np.zeros((dim, dim), dtype=np.complex128)
-    off = _offsets(conj)
-    for i, c in enumerate(conj):
-        out[:c, :c] += Y[off[i]:off[i + 1], off[i]:off[i + 1]]
+    for c, s in zip(conj, _block_slices(conj)):
+        out[:c, :c] += Y[s, s]
     return out
 
 
@@ -159,10 +150,8 @@ def build_truncation(T, M, max_denominator=64, tol=1e-9):
     conj_p = lam_p.conjugate().parts
     conj_q = lam_q.conjugate().parts
     Np, Nq = lam_p.total, lam_q.total
-    roff, coff = _offsets(conj_q), _offsets(conj_p)
     K = np.zeros((T.r, len(conj_q), len(conj_p), Nq, Np), dtype=np.complex128)
-    for j, cj in enumerate(conj_q):
-        for k, ck in enumerate(conj_p):
-            K[:, j, k, roff[j]:roff[j + 1],
-              coff[k]:coff[k + 1]] = T.kraus[:, :cj, :ck]
+    for j, (cj, rows) in enumerate(zip(conj_q, _block_slices(conj_q))):
+        for k, (ck, cols) in enumerate(zip(conj_p, _block_slices(conj_p))):
+            K[:, j, k, rows, cols] = T.kraus[:, :cj, :ck]
     return CPMap(K.reshape(-1, Nq, Np)), MarginalSpec(np.ones(Np), np.ones(Nq))

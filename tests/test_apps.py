@@ -319,6 +319,13 @@ class TestSchurHorn:
         with pytest.raises(AllZeroSpectrum, match="diagonal.*spectrum"):
             schur_horn([0.0, 0.0], [0.0, 0.0], epsilon=1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, q", [([1e308, 1e308], [1.0]),
+                                      ([1.0], [1e308, 1e308])])
+    def test_overflowing_total_rejected(self, p, q):
+        with pytest.raises(ValueError, match="finite"):
+            schur_horn(p, q, epsilon=1e-3)
+
 
 @pytest.mark.parametrize("build, args", [
     pytest.param(MatrixScalingInstance, ([[np.nan, 1.0], [1.0, 1.0]], [2.0, 2.0],

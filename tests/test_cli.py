@@ -382,6 +382,17 @@ class TestMainErrors:
         assert out.out == ""
         assert "finite" in out.err and "Traceback" not in out.err
 
+    @pytest.mark.filterwarnings("error")
+    def test_schurhorn_overflowing_total_exits_three(self, tmp_path, capsys):
+        data = {"kind": "schurhorn", "diagonal": [1e308, 1e308],
+                "spectrum": [1.0]}
+        assert main(["schurhorn", write_instance(tmp_path, data)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("opscale: error:")
+        assert "finite" in lines[0]
+
     @pytest.mark.parametrize("alpha", [[1e308, -1e308], [8e307, -8e307]])
     def test_horn_overflow_exits_three(self, tmp_path, alpha):
         # A separate process with a timeout: a regression that loops
@@ -445,3 +456,64 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
     assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0, 3, 0]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert run_all() == cached
+
+
+_HEAD = ["command", "kind", "seed", "status", "epsilon", "iterations",
+         "final_ds", "threshold"]
+_OPERATOR = ["marginal_errors", "instance"]
+_ABC = {"kind": "horn", "alpha": [2.0, -1.0], "beta": [1.5, 0.5],
+        "gamma": [2.8, 0.2]}
+_EMPTY_ROW = {"kind": "matscale", "matrix": [[1.0, 1.0], [0.0, 0.0]],
+              "row_sums": [1.0, 1.0], "col_sums": [1.0, 1.0]}
+_FORSTER = {"kind": "forster",
+            "vectors": [[1.0, 0.5, [0.0, 1.0]], [0.25, 1.0, 1.0]],
+            "weights": [0.6, 0.8, 0.6], "spectrum": [1.0, 1.0]}
+_SCHURHORN = {"kind": "schurhorn", "diagonal": [0.6, 0.4],
+              "spectrum": [0.7, 0.3]}
+
+
+@pytest.mark.parametrize("command, data, flags, code, keys", [
+    pytest.param("scale", TRIANGULAR_CPMAP, ["--epsilon", "0.05"], 0,
+                 _HEAD + _OPERATOR + ["capacity", "g", "h"], id="scale"),
+    pytest.param("scale", TRIANGULAR_CPMAP,
+                 ["--epsilon", "1e-6", "--max-iters", "3"], 2,
+                 _HEAD + _OPERATOR + ["capacity", "g", "h"],
+                 id="scale-budget"),
+    pytest.param("check", TRIANGULAR_CPMAP, [], 0,
+                 ["command", "kind", "verdict"] + _HEAD[2:] + _OPERATOR
+                 + ["capacity"], id="check"),
+    pytest.param("matscale", {"kind": "matscale",
+                              "matrix": [[1.0, 2.0], [3.0, 1.0]],
+                              "row_sums": [1.0, 1.0],
+                              "col_sums": [1.0, 1.0]}, [], 0,
+                 _HEAD + _OPERATOR + ["capacity", "row_scale", "col_scale",
+                                      "scaled_matrix", "sum_errors"],
+                 id="matscale"),
+    pytest.param("matscale", _EMPTY_ROW, [], 1,
+                 _HEAD + _OPERATOR + ["capacity"], id="matscale-not-pd"),
+    pytest.param("horn", _ABC, ["--epsilon", "1e-3"], 0,
+                 _HEAD + _OPERATOR + ["capacity", "matrices", "sum_error",
+                                      "normalization", "recovered"],
+                 id="horn-abc"),
+    pytest.param("horn", _ABC, ["--epsilon", "1e-3", "--max-iters", "1"], 2,
+                 _HEAD + _OPERATOR + ["capacity"], id="horn-abc-budget"),
+    pytest.param("forster", _FORSTER, ["--epsilon", "1e-3"], 0,
+                 _HEAD + _OPERATOR + ["capacity", "transform", "vectors",
+                                      "isotropy_error"], id="forster"),
+    pytest.param("schurhorn", _SCHURHORN, ["--seed", "2"], 0,
+                 _HEAD + ["capacity", "matrix", "errors"], id="schurhorn"),
+    pytest.param("schurhorn", _SCHURHORN,
+                 ["--epsilon", "1e-6", "--max-iters", "1"], 2,
+                 _HEAD + ["capacity"], id="schurhorn-budget"),
+    pytest.param("horn", dict(_ABC, gamma=[3.0, 0.5]), [], 1,
+                 ["command", "kind", "seed", "status", "reason"],
+                 id="infeasible"),
+    pytest.param("scale", TRIANGULAR_CPMAP, ["--epsilon", "0.05", "--trace"],
+                 0, _HEAD + _OPERATOR + ["capacity", "g", "h", "ds_trace"],
+                 id="trace"),
+])
+def test_report_key_order_per_path(tmp_path, capsys, command, data, flags,
+                                   code, keys):
+    assert main([command, write_instance(tmp_path, data), *flags]) == code
+    report, _ = read_report(capsys)
+    assert list(report) == keys + ["wall_time_ms"]
