@@ -370,8 +370,8 @@ class ForsterInstance:
         vectors = _finite(vectors, "vectors", np.complex128)
         if vectors.ndim != 2 or vectors.size == 0:
             raise ValueError("vectors must be a nonempty m x n array")
-        norms = np.linalg.norm(vectors, axis=0)
-        if np.any(norms == 0):
+        # A zero test, not a norm: squaring entries past ~1e154 overflows.
+        if not np.all(np.any(vectors != 0, axis=0)):
             raise ValueError("zero vectors cannot be scaled")
         weights = _finite(weights, "weights")
         if weights.ndim != 1 or weights.size == 0:
@@ -421,13 +421,13 @@ def build_forster_cpmap(U):
     return CPMap(K)
 
 
-def polymatroid_membership(instance, rank_tol=1e-9):
+def polymatroid_membership(instance):
     """Feasibility of weighted radial isotropic position for an instance.
 
     Requires sum p = sum q and, for every subset J of points, that its
     weight fits under the top entries of q up to the rank the subset
-    spans: sum_J p <= sum_{i <= rank U[:, J]} q_i (q taken
-    nonincreasing).  Enumerates 2^n subsets; limited to n <= 20.
+    spans: sum_J p <= sum_{i <= rank U[:, J]} q_i (q nonincreasing, rank
+    cut at 1e-9 max(1, sigma_1)).  Enumerates 2^n subsets; n <= 20.
     """
     U = instance.vectors
     p = instance.weights
@@ -442,7 +442,7 @@ def polymatroid_membership(instance, rank_tol=1e-9):
     for mask in range(1, 2**n):
         cols = [j for j in range(n) if mask >> j & 1]
         sv = np.linalg.svd(U[:, cols], compute_uv=False)
-        rank = int(np.sum(sv > rank_tol * max(1.0, float(sv[0]))))
+        rank = int(np.sum(sv > 1e-9 * max(1.0, float(sv[0]))))
         if p[cols].sum() > qcum[min(rank, q.size)] + tol:
             return False
     return True

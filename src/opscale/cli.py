@@ -349,7 +349,9 @@ _COMMANDS = {
 # Overflowing marginals are reported as null errors, not warned about.
 @np.errstate(over="ignore", invalid="ignore")
 def _marginal_errors(T, M, pair):
-    primal, dual = cpmap.marginals(cpmap.scale(T, pair), M)
+    # The marginals of scale(T, pair), read off the raw stack g^dag A_i h.
+    K = pair.g.conj().T @ T.kraus @ pair.h
+    primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
     return {
         "primal": float(np.linalg.norm(primal - np.eye(M.m))),
         "dual": float(np.linalg.norm(dual - np.eye(M.n))),

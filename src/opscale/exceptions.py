@@ -65,9 +65,9 @@ class ScalingFailure(OpscaleError):
         The operator instance the solver ran on, when known.
     """
 
-    def __init__(self, status, result=None, message=None, cpmap=None, spec=None):
+    def __init__(self, status, result=None, cpmap=None, spec=None):
         self.status = str(status)
         self.result = result
         self.cpmap = cpmap
         self.spec = spec
-        super().__init__(message or f"scaling failed with status {self.status}")
+        super().__init__(f"scaling failed with status {self.status}")

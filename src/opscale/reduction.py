@@ -17,7 +17,7 @@ to one whose target marginals are uniform:
 Every Kraus operator of the truncation is a single corner of an original
 Kraus operator placed in one (row-block, column-block) position, so the
 construction below materializes them densely; cheap for the small
-denominators this reduction is meant for (<= 64 by default).
+denominators this reduction is meant for (<= 64).
 """
 
 from __future__ import annotations
@@ -116,24 +116,24 @@ def gadget_dual_apply(lam, Y, dim=None):
     return out
 
 
-def _integral_spectrum(v, max_denominator, tol):
+def _integral_spectrum(v):
     fracs = []
     for x in v:
-        f = Fraction(float(x)).limit_denominator(max_denominator)
-        if abs(f - float(x)) > tol:
+        f = Fraction(float(x)).limit_denominator(64)
+        if abs(f - float(x)) > 1e-9:
             raise NonIntegralSpectrum(
                 f"spectrum entry {x!r} is not rational with denominator "
-                f"<= {max_denominator} (within {tol})"
+                "<= 64 (within 1e-09)"
             )
         fracs.append(f)
     return fracs
 
 
-def build_truncation(T, M, max_denominator=64, tol=1e-9):
+def build_truncation(T, M):
     """Truncate to uniform marginals: (trun T, all-ones spec).
 
-    Spectra are snapped to fractions with denominator <= max_denominator
-    (NonIntegralSpectrum beyond `tol`), scaled by the common denominator
+    Spectra are snapped to fractions with denominator <= 64
+    (NonIntegralSpectrum beyond 1e-9), scaled by the common denominator
     to integer partitions lam_p, lam_q, and the composite
     G_{lam_q} o T o G_{lam_p}^* is written into one preallocated Kraus
     stack: operator (i, j, k) carries the lam_q'_j x lam_p'_k corner of
@@ -142,8 +142,8 @@ def build_truncation(T, M, max_denominator=64, tol=1e-9):
     the ds distance of T under the integer spectra (lam_p, lam_q); for
     already-integral input that is ds under (p, q) itself.
     """
-    fp = _integral_spectrum(M.p, max_denominator, tol)
-    fq = _integral_spectrum(M.q, max_denominator, tol)
+    fp = _integral_spectrum(M.p)
+    fq = _integral_spectrum(M.q)
     scale = lcm(*(f.denominator for f in fp + fq))
     lam_p = Partition.from_vector([f * scale for f in fp])
     lam_q = Partition.from_vector([f * scale for f in fq])

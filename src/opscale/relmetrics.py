@@ -74,14 +74,7 @@ def deltas(a):
 
 def _leading_minor_logdets(X):
     """(signs, logabs) of det X[:j,:j] for j = 1..k."""
-    k = X.shape[0]
-    signs = np.empty(k, dtype=np.complex128)
-    logabs = np.empty(k, dtype=np.float64)
-    for j in range(1, k + 1):
-        s, la = np.linalg.slogdet(X[:j, :j])
-        signs[j - 1] = s
-        logabs[j - 1] = la
-    return signs, logabs
+    return zip(*(np.linalg.slogdet(X[:j, :j]) for j in range(1, X.shape[0] + 1)))
 
 
 def log_relative_det(a, X, blocks=None):
@@ -137,7 +130,7 @@ def relative_det_signed(a, X):
     return complex(np.exp(clog))
 
 
-def rel_det_multiplicativity_check(a, X, h, tol=1e-8):
+def rel_det_multiplicativity_check(a, X, h):
     """Verify the three relative-determinant identities; a test oracle.
 
     For upper-triangular h and (typically PD) X:
@@ -146,7 +139,7 @@ def rel_det_multiplicativity_check(a, X, h, tol=1e-8):
       2. det(a, h^dag X h)      = det(a, h^dag h) det(a, X)
       3. det(a, h^-dag h^-1)    = det(a, h^dag h)^-1
 
-    Returns True when all three hold to relative tolerance `tol`.
+    Returns True when all three hold to relative tolerance 1e-8.
     """
     h = np.asarray(h, dtype=np.complex128)
     X = np.asarray(X, dtype=np.complex128)
@@ -161,7 +154,7 @@ def rel_det_multiplicativity_check(a, X, h, tol=1e-8):
     rhs3 = 1.0 / relative_det_signed(a, hd @ h)
 
     def close(u, v):
-        return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
+        return abs(u - v) <= 1e-8 * max(1.0, abs(u), abs(v))
 
     return close(lhs1, rhs1) and close(lhs2, rhs2) and close(lhs3, rhs3)
 
@@ -236,10 +229,10 @@ def shannon_entropy(p):
 class CapacityTrace:
     """Per-iteration capacity bookkeeping owned by one solver run.
 
-    log_factors[j] is the log capacity-change factor of step j+1;
-    upper_estimates[j] is the capacity objective of the current scaled
-    map at h = I recorded just after that step (0 up to roundoff, the
-    computable face of cap <= 1).
+    log_factors[j] is the log capacity-change factor of step j+1, and
+    upper_estimates[j] is log det(a, balanced target) for the side it
+    balanced (T(P) against q for even j, the dual T*(Q) against p for odd
+    j): 0 up to roundoff, the computable face of cap <= 1.
 
     log_lower_bound is the log capacity lower bound -10 b of the solved
     instance (b its bit complexity), or the value given, -inf by default.
@@ -248,10 +241,9 @@ class CapacityTrace:
     to (T, M); a caller that never reads the bound never pays for b.
     """
 
-    def __init__(self, log_factors=None, upper_estimates=None,
-                 log_lower_bound=-math.inf, *, instance=None):
-        self.log_factors = [] if log_factors is None else log_factors
-        self.upper_estimates = [] if upper_estimates is None else upper_estimates
+    def __init__(self, log_lower_bound=-math.inf, *, instance=None):
+        self.log_factors = []
+        self.upper_estimates = []
         self._log_lower_bound = log_lower_bound
         self._instance = instance
 
@@ -312,7 +304,7 @@ def _alternating_step(K, primal, dual, M, j):
     return inc, K, log_factor, upper
 
 
-def estimate_capacity(T, M, budget=200, log_floor=_MINOR_FLOOR_LOG):
+def estimate_capacity(T, M, budget=200):
     """Upper estimate of cap(T, P, Q) via the alternating iteration itself.
 
     Runs the solvers' alternating step and tracks est_j = v_j - cum_j,
@@ -320,8 +312,8 @@ def estimate_capacity(T, M, budget=200, log_floor=_MINOR_FLOOR_LOG):
     current scaled map at h = I and cum_j the summed log change factors;
     cap(T) <= exp(est_j) for every j, with equality in the limit when the
     iteration converges.  Returns a 0-flagged estimate when a balance
-    target stops being positive definite or the estimate falls below
-    `log_floor` (capacity vanishing on the PSD boundary).
+    target stops being positive definite or the estimate falls to
+    log 1e-300 (capacity vanishing on the PSD boundary).
 
     Requires strictly positive spectra.
     """
@@ -335,7 +327,7 @@ def estimate_capacity(T, M, budget=200, log_floor=_MINOR_FLOOR_LOG):
         for j in range(int(budget) + 1):
             primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
             best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
-            if best <= log_floor:
+            if best <= _MINOR_FLOOR_LOG:
                 return CapacityEstimate(0.0, -math.inf, True, j)
             if j == budget:
                 break

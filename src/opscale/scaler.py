@@ -17,7 +17,8 @@ positive spectra.  general_scale handles singular targets and arbitrary
 instances: restrict to the support of the spectra, precompose with a
 random block-diagonal Gaussian pair (retried when a draw is numerically
 singular), run the triangular iteration, and lift back with the identity
-off the support.
+off the support.  Both run the loop on the raw (r, m, n) Kraus stack and
+validate only the ScalingPair they return.
 
 Iteration budgets default to worst-case formulas driven by the instance
 bit complexity b; every budget is clamped by the OPSCALE_HARD_CAP
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import cpmap, relmetrics
 from .cpmap import CPMap, MarginalSpec, ScalingPair
-from .exceptions import AllZeroSpectrum, NotPositiveDefinite
+from .exceptions import AllZeroSpectrum, NotInvertible, NotPositiveDefinite
 from .relmetrics import CapacityTrace, _alternating_step, ds_threshold
 
 __all__ = [
@@ -96,12 +97,15 @@ class ScalingResult:
     """Outcome of a solver run.
 
     `pair` is the last iterate (g, h) — on SUCCESS it certifies
-    ds <= threshold for the original instance.  `ds_trace` holds the ds
-    value at the top of every iteration in original units, so
-    final ds = ds_trace[-1].  `capacity_trace` records the per-step log
-    capacity-change factors together with the log relative determinant of
-    each freshly balanced marginal (0 up to roundoff).  On ERROR_NOT_PD,
-    `min_eigenvalue` is the offending eigenvalue of the balance target.
+    ds <= threshold for the original instance.  When the last factors are
+    too ill-conditioned to form a pair, `pair` is the starting one and the
+    status ERROR_BUDGET; ERROR_NOT_PD stays, as its evidence is the rank
+    of a marginal, not the pair.  `ds_trace` holds the ds value at the
+    top of every iteration in original units, so final ds = ds_trace[-1].
+    `capacity_trace` records the per-step log capacity-change factors
+    together with the log relative determinant of each freshly balanced
+    marginal (0 up to roundoff).  On ERROR_NOT_PD, `min_eigenvalue` is the
+    offending eigenvalue of the balance target.
     """
 
     pair: ScalingPair
@@ -211,14 +215,16 @@ def iteration_budget(b, m, epsilon, p_min, q_min, mode="triangular", log_cap1=No
     """
     denom = min(epsilon, p_min) + min(epsilon, q_min)
     if log_cap1 is not None:
-        raw = -7.0 * log_cap1 / denom
+        num = -7.0 * log_cap1
     elif mode == "triangular":
-        raw = 100.0 * b * m / denom
+        num = 100.0 * b * m
     elif mode == "general":
-        raw = 400.0 * b * m / (min(p_min, q_min) * epsilon**2)
+        num, denom = 400.0 * b * m, min(p_min, q_min) * epsilon**2
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # Clamp before rounding up: a tiny spectrum entry overflows raw to inf.
+    # An underflowed divisor (eps^2 < 5e-324) or a tiny spectrum entry makes
+    # the raw budget unbounded; clamp before rounding up.
+    raw = num / denom if denom else math.inf
     return math.ceil(min(raw, hard_cap()))
 
 
@@ -266,18 +272,17 @@ def _resolve_budget(T, M, config, mode):
 # Overflow is handled, not warned about: non-finite marginals and
 # diverging factors both end the run with ERROR_BUDGET.
 @np.errstate(over="ignore", invalid="ignore")
-def _alternate(T, M, config, budget, trace, finish=ScalingPair):
-    """Core loop on a positive-spectrum instance; normalized units inside.
+def _alternate(K, M, config, budget, trace, finish=ScalingPair):
+    """Core loop on the (r, m, n) Kraus stack K of a positive-spectrum instance.
 
-    Runs the shared alternating step on the map's Kraus stack, recording
-    each step in `trace`, and returns the ScalingResult in original units,
-    its pair built by finish(g, h) from the last iterate.
+    Runs the shared alternating step on K in normalized units, recording
+    each step in `trace`, and returns the ScalingResult in original
+    units.  Its pair is finish(g, h) of the last iterate, or of the
+    identity start when finish finds the last iterate singular.
     """
     Mhat, s = M.normalized()
     thresh = ds_threshold(config.epsilon, Mhat)
-    K = T.kraus
-    g = np.eye(T.m, dtype=np.complex128)
-    h = np.eye(T.n, dtype=np.complex128)
+    gh = [np.eye(d, dtype=np.complex128) for d in K.shape[1:]]
     ds_list = []
     steps = 0
     min_eig = None
@@ -287,13 +292,9 @@ def _alternate(T, M, config, budget, trace, finish=ScalingPair):
         if ds_list[-1] <= thresh:
             status = SUCCESS
             break
-        if not math.isfinite(ds_list[-1]):
-            # Non-finite marginals mean the Kraus updates overflowed; no
-            # further progress is possible, so report the budget as
-            # exhausted at the current step count.
-            status = ERROR_BUDGET
-            break
-        if steps >= budget:
+        # Non-finite marginals mean the Kraus updates overflowed; no further
+        # progress is possible, so the budget counts as exhausted.
+        if steps >= budget or not math.isfinite(ds_list[-1]):
             status = ERROR_BUDGET
             break
         try:
@@ -310,17 +311,20 @@ def _alternate(T, M, config, budget, trace, finish=ScalingPair):
         # so later compositions stay finite, and report the budget as
         # exhausted at this step count.  Only the factor this step changed
         # is tested: the other one passed when it last changed.
-        new = (g if steps % 2 == 0 else h) @ inc
+        new = gh[steps % 2] @ inc
         if not np.linalg.norm(new) < _FACTOR_CAP:
             status = ERROR_BUDGET
             break
-        if steps % 2 == 0:
-            g = new
-        else:
-            h = new
+        gh[steps % 2] = new
         steps += 1
+    try:
+        pair = finish(gh[0], gh[1] / math.sqrt(s))
+    except NotInvertible:  # singular to working precision: return the start
+        pair = finish(np.eye(K.shape[1]), np.eye(K.shape[2]) / math.sqrt(s))
+        if status != ERROR_NOT_PD:
+            status = ERROR_BUDGET
     return ScalingResult(
-        pair=finish(g, h / math.sqrt(s)),
+        pair=pair,
         status=status,
         iterations=steps,
         ds_trace=tuple(s * d for d in ds_list),
@@ -339,7 +343,8 @@ def triangular_scale(T, M, config):
             "triangular_scale needs strictly positive spectra; "
             "project to the support (or call general_scale) first"
         )
-    return _alternate(T, M, config, *_resolve_budget(T, M, config, "triangular"))
+    return _alternate(T.kraus, M, config,
+                      *_resolve_budget(T, M, config, "triangular"))
 
 
 def _block_gaussian(rng, slices, dim):
@@ -395,6 +400,7 @@ def general_scale(T, M, config):
         return pair if emb.full else lift_pair(pair, emb)
 
     # _comfortably_invertible has checked (g0, h0); this is the product
-    # cpmap.scale forms, without a ScalingPair that would SVD them again.
-    return _alternate(CPMap(g0.conj().T @ Tr.kraus @ h0), Mr, config,
-                      budget, trace, finish)
+    # cpmap.scale forms, unvalidated: overflow ends the loop at its first ds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = g0.conj().T @ Tr.kraus @ h0
+    return _alternate(K, Mr, config, budget, trace, finish)

@@ -267,6 +267,25 @@ class TestForster:
             ForsterInstance(np.array([[1.0, 0.0], [0.0, 0.0]]),
                             [0.5, 0.5], [0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_vectors_are_accepted_without_warning(self):
+        # a norm would square 1e308 and overflow
+        inst = ForsterInstance([[1e308, 1, 0.5], [0, 1, 2]], [1, 1, 1],
+                               [1.5, 1.5])
+        assert inst.n == 3
+
+    def test_singular_factors_raise_scaling_failure(self):
+        # The first two points are collinear and weigh 2.4 > q_1, so the
+        # instance is infeasible; its factors end singular to working
+        # precision, and the solver returns its starting pair.
+        U = np.array([[1, 2, 0, 1], [1, 2, 1, 0], [0, 0, 1, 1]], dtype=complex)
+        inst = ForsterInstance(U, [1.2, 1.2, 0.5, 0.5], np.full(3, 3.4 / 3))
+        assert not polymatroid_membership(inst)
+        with pytest.raises(ScalingFailure) as exc:
+            forster_scale(inst, 1e-2, seed=1, max_iterations=3000)
+        assert exc.value.status == ERROR_BUDGET
+        assert exc.value.result.iterations == 3000
+
 
 class TestSchurHorn:
     def test_diagonal_is_exact_and_spectrum_close(self):

@@ -34,6 +34,13 @@ TRIANGULAR_CPMAP = {
     "q_blocks": [1, 1],
 }
 
+COLLINEAR_FORSTER = {
+    "kind": "forster",
+    "vectors": [[1, 2, 0, 1], [1, 2, 1, 0], [0, 0, 1, 1]],
+    "weights": [1.2, 1.2, 0.5, 0.5],
+    "spectrum": [1.1333333333333333, 1.1333333333333333, 1.1333333333333333],
+}
+
 RANK_ONE_CPMAP = {
     "kind": "cpmap",
     "kraus": [[[1.0, 0.0], [0.0, 0.0]]],
@@ -223,11 +230,35 @@ class TestMainScale:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, data, flags", [
+        ("scale", {"kind": "cpmap", "kraus": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                   "p": [0.6, 0.4], "q": [0.5, 0.5]}, ["--epsilon", "1e-170"]),
+        # the internal accuracy eps / max target squares to 0
+        ("matscale", {"kind": "matscale", "matrix": [[1, 2], [3, 4]],
+                      "row_sums": [1e307, 1e307], "col_sums": [1e307, 1e307]}, []),
+        ("forster", {"kind": "forster", "vectors": [[1, 2, 0], [1, 0, 2]],
+                     "weights": [1e307, 1e307, 1e307],
+                     "spectrum": [1.5e307, 1.5e307]}, []),
+    ])
+    def test_underflowing_accuracy_exits_two_without_traceback(
+            self, tmp_path, capsys, monkeypatch, command, data, flags):
+        # eps^2 underflows to 0 in the general budget's divisor; the budget
+        # must be the cap instead of raising ZeroDivisionError.
+        monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
+        assert main([command, write_instance(tmp_path, data), *flags]) == 2
+        report, err = read_report(capsys)
+        assert report["status"] == "ERROR_BUDGET"
+        assert report["iterations"] == 50
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["scale", "check"])
     @pytest.mark.parametrize("kraus, spec", [
         ([[[1e300, 1e300], [1e300, 1e300]]], [0.5, 0.5]),
         ([[[1e300, 1e300, 1.0], [1e300, 1e300, 1.0], [1.0, 1.0, 1.0]]],
          [0.5, 0.5, 0.0]),
+        # the Gaussian start's product overflows before the first step
+        ([[[1.7e308, 1.7e308], [1.7e308, 1.7e308]]], [0.5, 0.5]),
     ])
     def test_overflowing_marginals_exit_two_without_warnings(
             self, tmp_path, capsys, command, kraus, spec):
@@ -338,6 +369,26 @@ class TestMainApplications:
         assert main(["forster", path, "--epsilon", "1e-3"]) == 0
         report, _ = read_report(capsys)
         assert report["isotropy_error"] <= 1e-3
+
+    def test_forster_singular_factors_exit_two(self, tmp_path, capsys):
+        # The first two points are collinear and weigh 2.4 > q_1: infeasible;
+        # the factors end too ill-conditioned to form a pair.
+        path = write_instance(tmp_path, COLLINEAR_FORSTER)
+        assert main(["forster", path, "--seed", "1", "--max-iters", "3000"]) == 2
+        report, err = read_report(capsys)
+        assert report["status"] == "ERROR_BUDGET"
+        assert report["iterations"] == 3000
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_forster_huge_vector_entry_does_not_warn(self, tmp_path, capsys):
+        data = {"kind": "forster", "vectors": [[1e308, 1, 0.5], [0, 1, 2]],
+                "weights": [1, 1, 1], "spectrum": [1.5, 1.5]}
+        path = write_instance(tmp_path, data)
+        assert main(["forster", path, "--max-iters", "200"]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out)["status"] == "ERROR_BUDGET"
+        assert "Warning" not in out.err
 
 
 class TestMainErrors:

@@ -19,6 +19,7 @@ from opscale import (
     ERROR_SINGULAR_INIT,
     INCONCLUSIVE,
     MarginalSpec,
+    NotInvertible,
     ScalingPair,
     SUCCESS,
     SolverConfig,
@@ -77,6 +78,12 @@ class TestConfigAndBudget:
         assert iteration_budget(10, 3, 1e-3, p_min, q_min, mode=mode) == 10**6
         monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
         assert iteration_budget(10, 3, 1e-3, p_min, q_min, mode=mode) == 50
+
+    def test_underflowing_accuracy_budget_is_the_cap(self, monkeypatch):
+        # eps^2 underflows to 0, so the general divisor vanishes
+        assert iteration_budget(10, 3, 1e-170, 0.5, 0.5, mode="general") == hard_cap()
+        monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
+        assert iteration_budget(10, 3, 1e-170, 0.5, 0.5, mode="general") == 50
 
 
 class TestTriangularScale:
@@ -351,6 +358,34 @@ def test_singular_draws_end_in_error_singular_init(monkeypatch):
 def _positive_instance(rng):
     return (random_cpmap(rng, 3, 3, 2),
             MarginalSpec(spectrum(rng, 3), spectrum(rng, 3)))
+
+
+@pytest.mark.parametrize("instance, status, fallback", [
+    (_positive_instance, SUCCESS, ERROR_BUDGET),
+    (_not_pd_instance, ERROR_NOT_PD, ERROR_NOT_PD),
+])
+def test_unformable_last_pair_falls_back_to_the_start(instance, status,
+                                                      fallback):
+    # A last iterate too ill-conditioned to form a pair returns the starting
+    # pair; only the status that rests on the pair changes.
+    T, M = instance(np.random.default_rng(5))
+    config = SolverConfig(epsilon=1e-4)
+    plain = triangular_scale(T, M, config)
+    assert plain.status == status
+
+    def finish(g, h):
+        if not np.array_equal(g, np.eye(M.m)):
+            raise NotInvertible("g is numerically singular")
+        return ScalingPair(g, h)
+
+    res = scaler._alternate(T.kraus, M, config,
+                            *scaler._resolve_budget(T, M, config, "triangular"),
+                            finish)
+    assert res.status == fallback
+    assert (res.iterations, res.ds_trace) == (plain.iterations, plain.ds_trace)
+    assert res.min_eigenvalue == plain.min_eigenvalue
+    npt.assert_array_equal(res.pair.g, np.eye(M.m))
+    npt.assert_allclose(res.pair.h, np.eye(M.n) / np.sqrt(M.p.sum()), rtol=1e-15)
 
 
 @pytest.mark.parametrize("solve, instance, epsilon, solve_calls", [
