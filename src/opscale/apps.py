@@ -95,8 +95,9 @@ def _run(T, M, epsilon, seed, max_iterations):
     # deterministic identity start can stall on a measure-zero orbit (e.g.
     # equal Horn spectra keep every h-block identical forever, pinning ds at
     # a positive floor while the factors blow up).  A generic block
-    # initialization breaks the tie almost surely.
-    config = SolverConfig(epsilon=epsilon, seed=seed,
+    # initialization breaks the tie almost surely.  An accuracy that
+    # underflowed to 0 is floored, which ends the run at its first ds.
+    config = SolverConfig(epsilon=max(epsilon, math.ulp(0.0)), seed=seed,
                           max_iterations=max_iterations)
     result = general_scale(T, M, config)
     if not result.success:
@@ -319,9 +320,9 @@ def horn_normalize(alpha, beta, gamma):
     Requires the trace identity sum alpha + sum beta = sum gamma
     (InfeasibleInstance otherwise).  Shifts each spectrum positive,
     flips gamma (C enters as w I - C), and doubles the shifts until all
-    normalized entries lie in (0, 1].  Raises ValueError when the data are
-    not nonempty vectors, or when they, their total, the shifts or the
-    normalized spectra are not finite.
+    normalized entries lie in (0, 1] (past 1e16 a +1 shift rounds away).
+    Raises ValueError when the data are not nonempty vectors, or when
+    they, their total, the shifts or the normalized spectra are not finite.
     """
     alpha, beta, gamma = (-np.sort(-_nonempty_vector(v, name)) for v, name in
                           ((alpha, "alpha"), (beta, "beta"), (gamma, "gamma")))
@@ -342,7 +343,7 @@ def horn_normalize(alpha, beta, gamma):
         spectra = ((alpha + u) / c, (beta + v) / c, (w - gamma[::-1]) / c)
         if not (math.isfinite(c) and all(np.isfinite(p).all() for p in spectra)):
             raise ValueError("Horn spectra overflow when shifted and normalized")
-        if all(float(p.max()) <= 1.0 for p in spectra):
+        if all(0.0 < float(p.min()) and float(p.max()) <= 1.0 for p in spectra):
             break
         u, v, w = 2 * u, 2 * v, 2 * w
     return HornNormalization(instance=HornInstance(spectra),

@@ -152,11 +152,6 @@ def _identity(d):
     return eye
 
 
-def _block_mask(blocks):
-    """(d, d) boolean mask selecting the diagonal blocks of the given sizes."""
-    return _block_plan(tuple(blocks)).mask
-
-
 @dataclass(frozen=True, eq=False)
 class MarginalSpec:
     """Target spectra for the two marginals.
@@ -350,7 +345,7 @@ def balance_factor(S, block_sizes=None):
         raise NotPositiveDefinite(min_eig)
     if block_sizes is None:
         block_sizes = (d,)
-    mask = _block_mask(_check_blocks(block_sizes, d, "block_sizes"))
+    mask = _block_plan(_check_blocks(block_sizes, d, "block_sizes")).mask
     try:
         L = np.linalg.cholesky(np.where(mask, S, 0.0))
     except np.linalg.LinAlgError:

@@ -10,10 +10,10 @@ smallest nonzero violation margin
 over subset pairs, which separates scalable from non-scalable instances:
 an eps-scaling with eps below half the certificate can only exist in the
 scalable case.  decide_scalable therefore runs the general solver at
-that accuracy and converts its exit status into a verdict; a
-rank-deficient balance target is conclusive evidence of infeasibility
-(marginal ranks are scaling invariants), while an exhausted budget is
-not.
+that accuracy, for the trace-normalized spectra it iterates on, and
+converts its exit status into a verdict; a rank-deficient balance
+target is conclusive evidence of infeasibility (marginal ranks are
+scaling invariants), while an exhausted budget is not.
 
 bit_complexity is the integer size parameter b driving the worst-case
 iteration budgets: the total bit length (numerator plus denominator) of
@@ -220,15 +220,17 @@ class FeasibilityVerdict:
 def decide_scalable(T, M, seed=0, max_iterations=None):
     """Decide approximate scalability of (T, P, Q) with equal traces.
 
-    Runs general_scale at accuracy eps = min(certificate/2, 1/2):
-    SUCCESS at that accuracy implies no obstruction subset pair can be
-    violated (FEASIBLE); a non-PD balance target is a scaling-invariant
-    rank deficiency (INFEASIBLE); anything else is INCONCLUSIVE.  The
+    Runs general_scale at accuracy eps = min(certificate/2, 1/2), with the
+    certificate of the trace-normalized spectra the solver iterates on, so
+    that scaling both spectra by one factor leaves eps as it is.  SUCCESS
+    at that accuracy implies no obstruction subset pair can be violated
+    (FEASIBLE); a non-PD balance target is a scaling-invariant rank
+    deficiency (INFEASIBLE); anything else is INCONCLUSIVE.  The
     optional max_iterations caps the solver budget, trading conclusiveness
     for time.
     """
     _check_instance(T, M)
-    eps = min(certificate_epsilon(M) / 2.0, 0.5)
+    eps = min(certificate_epsilon(M.normalized()[0]) / 2.0, 0.5)
     config = SolverConfig(epsilon=eps, seed=seed, max_iterations=max_iterations)
     result = general_scale(T, M, config)
     return FeasibilityVerdict(verdict=_VERDICTS.get(result.status, INCONCLUSIVE),

@@ -280,7 +280,7 @@ class CapacityEstimate:
 def _log_det(a, X, blocks):
     """log det(a, X) from one Cholesky of the block-masked X; -inf if not PD."""
     try:
-        L = np.linalg.cholesky(np.where(cpmap._block_mask(blocks), X, 0.0))
+        L = np.linalg.cholesky(np.where(cpmap._block_plan(blocks).mask, X, 0.0))
     except np.linalg.LinAlgError:
         return -math.inf
     return 2.0 * float(np.dot(a, np.log(L.diagonal().real)))

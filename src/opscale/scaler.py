@@ -15,10 +15,10 @@ step the currently unbalanced marginal is pushed to the identity by a
 by the marginal spec is preserved throughout.  It requires strictly
 positive spectra.  general_scale handles singular targets and arbitrary
 instances: restrict to the support of the spectra, precompose with a
-random block-diagonal Gaussian pair (retried when a draw is numerically
-singular), run the triangular iteration, and lift back with the identity
-off the support.  Both run the loop on the raw (r, m, n) Kraus stack and
-validate only the ScalingPair they return.
+random block-diagonal Gaussian pair (drawn once; a numerically singular
+draw ends the run), run the triangular iteration, and lift back with the
+identity off the support.  Both run the loop on the raw (r, m, n) Kraus
+stack and validate only the ScalingPair they return.
 
 Iteration budgets default to worst-case formulas driven by the instance
 bit complexity b; every budget is clamped by the OPSCALE_HARD_CAP
@@ -128,8 +128,8 @@ class SupportEmbedding:
 
     Masks select the positive entries of p (input side) and q (output
     side); within each block these are leading coordinates, so the
-    restriction keeps the flag structure.  Embedding a restricted factor
-    puts the identity on the off-support coordinates.
+    restriction keeps the flag structure.  lift_pair embeds restricted
+    factors with the identity on the off-support coordinates.
     """
 
     p_mask: np.ndarray
@@ -146,19 +146,6 @@ class SupportEmbedding:
     @property
     def full(self):
         return bool(self.p_mask.all() and self.q_mask.all())
-
-    def _embed(self, mat, mask):
-        full = np.eye(mask.size, dtype=np.complex128)
-        full[np.ix_(mask, mask)] = mat
-        return full
-
-    def embed_output(self, g):
-        """Lift a restricted g to the full output space, identity on the rest."""
-        return self._embed(g, self.q_mask)
-
-    def embed_input(self, h):
-        """Lift a restricted h to the full input space, identity on the rest."""
-        return self._embed(h, self.p_mask)
 
 
 def _restricted_blocks(mask, slices):
@@ -198,8 +185,12 @@ def lift_pair(pair, embedding):
     are exact zeros, so any other off-support fill converts to the same
     pair.
     """
-    return ScalingPair(embedding.embed_output(pair.g),
-                       embedding.embed_input(pair.h))
+    factors = []
+    for mat, mask in ((pair.g, embedding.q_mask), (pair.h, embedding.p_mask)):
+        full = np.eye(mask.size, dtype=np.complex128)
+        full[np.ix_(mask, mask)] = mat
+        factors.append(full)
+    return ScalingPair(*factors)
 
 
 def iteration_budget(b, m, epsilon, p_min, q_min, mode="triangular", log_cap1=None):
@@ -242,6 +233,14 @@ def _check_instance(T, M):
             f"spectra traces differ (gap {M.trace_gap:.3e}); "
             "equal traces are necessary for any exact scaling"
         )
+
+
+def _result(config, M, trace, pair, status, steps=0, ds_trace=(), min_eig=None):
+    """ScalingResult in original units, with threshold and epsilon of (config, M)."""
+    return ScalingResult(pair=pair, status=status, iterations=steps, ds_trace=ds_trace,
+                         threshold=ds_threshold(config.epsilon, M),
+                         epsilon=config.epsilon, capacity_trace=trace,
+                         min_eigenvalue=min_eig)
 
 
 def _resolve_budget(T, M, config, mode):
@@ -292,9 +291,10 @@ def _alternate(K, M, config, budget, trace, finish=ScalingPair):
         if ds_list[-1] <= thresh:
             status = SUCCESS
             break
-        # Non-finite marginals mean the Kraus updates overflowed; no further
-        # progress is possible, so the budget counts as exhausted.
-        if steps >= budget or not math.isfinite(ds_list[-1]):
+        # Non-finite marginals mean the Kraus updates overflowed, and a zero
+        # threshold (eps^2 underflowed) is out of reach once ds > 0; either
+        # way no further progress is possible, so the budget counts as exhausted.
+        if steps >= budget or not thresh or not math.isfinite(ds_list[-1]):
             status = ERROR_BUDGET
             break
         try:
@@ -323,16 +323,9 @@ def _alternate(K, M, config, budget, trace, finish=ScalingPair):
         pair = finish(np.eye(K.shape[1]), np.eye(K.shape[2]) / math.sqrt(s))
         if status != ERROR_NOT_PD:
             status = ERROR_BUDGET
-    return ScalingResult(
-        pair=pair,
-        status=status,
-        iterations=steps,
-        ds_trace=tuple(s * d for d in ds_list),
-        threshold=ds_threshold(config.epsilon, M),
-        epsilon=config.epsilon,
-        capacity_trace=trace,
-        min_eigenvalue=None if min_eig is None else s * min_eig,
-    )
+    return _result(config, M, trace, pair, status, steps,
+                   tuple(s * d for d in ds_list),
+                   None if min_eig is None else s * min_eig)
 
 
 def triangular_scale(T, M, config):
@@ -365,8 +358,8 @@ def general_scale(T, M, config):
     """Randomized scaling for arbitrary (possibly singular) target spectra.
 
     Restricts to the spectrum support, precomposes with a Gaussian
-    block-diagonal pair drawn from config.seed (up to 3 draws when one
-    comes out numerically singular -> ERROR_SINGULAR_INIT), runs the
+    block-diagonal pair drawn once from config.seed (ERROR_SINGULAR_INIT
+    if it is numerically singular, which has probability zero), runs the
     triangular iteration, and lifts the composed pair back to the full
     spaces with the identity off the support.  ERROR_NOT_PD from the
     iteration is returned as-is: the rank of a marginal is invariant under
@@ -376,24 +369,12 @@ def general_scale(T, M, config):
     _check_instance(T, M)
     Tr, Mr, emb = project_to_support(T, M)
     budget, trace = _resolve_budget(Tr, Mr, config, "general")
-    g0 = h0 = None
-    for attempt in range(3):
-        rng = np.random.default_rng(config.seed + attempt)
-        cand_g = _block_gaussian(rng, Mr.q_slices(), Mr.m)
-        cand_h = _block_gaussian(rng, Mr.p_slices(), Mr.n)
-        if _comfortably_invertible(cand_g) and _comfortably_invertible(cand_h):
-            g0, h0 = cand_g, cand_h
-            break
-    if g0 is None:
-        return ScalingResult(
-            pair=ScalingPair(np.eye(M.m), np.eye(M.n)),
-            status=ERROR_SINGULAR_INIT,
-            iterations=0,
-            ds_trace=(),
-            threshold=ds_threshold(config.epsilon, M),
-            epsilon=config.epsilon,
-            capacity_trace=trace,
-        )
+    rng = np.random.default_rng(config.seed)
+    g0 = _block_gaussian(rng, Mr.q_slices(), Mr.m)
+    h0 = _block_gaussian(rng, Mr.p_slices(), Mr.n)
+    if not (_comfortably_invertible(g0) and _comfortably_invertible(h0)):
+        return _result(config, M, trace,
+                       ScalingPair(np.eye(M.m), np.eye(M.n)), ERROR_SINGULAR_INIT)
 
     def finish(g, h):
         pair = ScalingPair(g0 @ g, h0 @ h)

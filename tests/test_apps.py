@@ -165,6 +165,14 @@ class TestHorn:
         npt.assert_allclose(np.linalg.eigvalsh(B)[::-1], beta, atol=tol)
         npt.assert_allclose(np.linalg.eigvalsh(C)[::-1], gamma, atol=tol)
 
+    def test_normalize_restores_a_shift_lost_to_rounding(self):
+        # past about 1e16, w = gamma_1 + 1 rounds to gamma_1 and would leave
+        # a zero entry; one doubling of the shifts restores a positive gap
+        norm = horn_normalize([6e19, 4e19], [6e19, 4e19], [1.2e20, 8e19])
+        assert norm.shifts == (2.0, 2.0, 2.4e20)
+        for spec in norm.instance.spectra:
+            assert np.all(spec > 0) and np.all(spec <= 1.0)
+
     def test_trace_identity_required(self):
         with pytest.raises(InfeasibleInstance):
             horn_normalize([1.0, 0.0], [1.0, 0.0], [3.0, 0.0])

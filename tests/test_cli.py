@@ -239,16 +239,27 @@ class TestMainScale:
         ("forster", {"kind": "forster", "vectors": [[1, 2, 0], [1, 0, 2]],
                      "weights": [1e307, 1e307, 1e307],
                      "spectrum": [1.5e307, 1.5e307]}, []),
+        # the internal accuracy itself underflows to 0
+        ("matscale", {"kind": "matscale", "matrix": [[1, 2], [3, 4]],
+                      "row_sums": [1e307, 1e307], "col_sums": [1e307, 1e307]},
+         ["--epsilon", "1e-20"]),
+        ("forster", {"kind": "forster", "vectors": [[1, 2, 0], [1, 0, 2]],
+                     "weights": [1e307, 1e307, 1e307],
+                     "spectrum": [1.5e307, 1.5e307]}, ["--epsilon", "1e-20"]),
+        ("schurhorn", {"kind": "schurhorn", "diagonal": [1e299, 1e299],
+                       "spectrum": [1.2e299, 0.8e299]}, ["--epsilon", "1e-170"]),
     ])
     def test_underflowing_accuracy_exits_two_without_traceback(
             self, tmp_path, capsys, monkeypatch, command, data, flags):
-        # eps^2 underflows to 0 in the general budget's divisor; the budget
-        # must be the cap instead of raising ZeroDivisionError.
+        # eps^2 underflows to 0 in the general budget's divisor and in the
+        # ds threshold: the budget must be the cap instead of raising
+        # ZeroDivisionError, and the run must stop at once, as no step can
+        # reach a zero threshold.
         monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
         assert main([command, write_instance(tmp_path, data), *flags]) == 2
         report, err = read_report(capsys)
         assert report["status"] == "ERROR_BUDGET"
-        assert report["iterations"] == 50
+        assert report["iterations"] == 0
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error")
@@ -310,6 +321,23 @@ class TestMainCheck:
         assert code == 2
         assert report["verdict"] == "INCONCLUSIVE"
 
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e-22])
+    def test_hall_infeasible_instance_is_never_feasible(self, tmp_path, capsys,
+                                                        scale):
+        # The matrix [[1, 1], [0, 1]] cannot reach row sums (0.4, 0.6) with
+        # column sums (0.45, 0.55); scaling both spectra by one factor must
+        # change neither the accuracy nor the verdict.
+        path = write_instance(tmp_path, {
+            "kind": "cpmap",
+            "kraus": [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+            "p": [45 * scale / 100, 55 * scale / 100],
+            "q": [40 * scale / 100, 60 * scale / 100],
+            "p_blocks": [1, 1], "q_blocks": [1, 1]})
+        assert main(["check", path, "--max-iters", "50"]) == 2
+        report, _ = read_report(capsys)
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["epsilon"] == pytest.approx(0.00884, rel=1e-3)
+
 
 class TestMainApplications:
     def test_matscale_report(self, tmp_path, capsys):
@@ -341,6 +369,16 @@ class TestMainApplications:
         report, _ = read_report(capsys)
         assert set(report["recovered"]) == {"A", "B", "C"}
         assert report["sum_error"] <= 1e-3
+
+    def test_horn_abc_past_1e16_keeps_positive_spectra(self, tmp_path, capsys):
+        # w - gamma_1 rounds to 0 at the first shifts; normalizing must
+        # double them instead of passing a zero entry to the solver
+        data = {"kind": "horn", "alpha": [6e19, 4e19], "beta": [6e19, 4e19],
+                "gamma": [1.2e20, 8e19]}
+        path = write_instance(tmp_path, data)
+        assert main(["horn", path, "--max-iters", "2000"]) == 0
+        report, _ = read_report(capsys)
+        assert report["status"] == "SUCCESS"
 
     def test_schurhorn_infeasible_exit_one(self, tmp_path, capsys):
         data = {"kind": "schurhorn", "diagonal": [1.5, 0.5],

@@ -1,20 +1,23 @@
-"""CLI fuzz: every malformed instance exits 3 with no report and no traceback.
+"""CLI fuzz: every malformed instance exits 3 with no report and no traceback,
+and every valid one, at any scale and accuracy, ends in a report.
 
-Each case starts from a valid instance of a subcommand and breaks one
-part of it: a wrong type, a ragged or wrongly nested array, an entry of
-1e400 or NaN, a negative or empty spectrum, a bad block sum, a missing
-field, or a top level that is not a JSON object.  Fixed cases add every
-non-finite entry in every field and arrays nested past the JSON
-parser's recursion limit.
+Each malformed case starts from a valid instance of a subcommand and
+breaks one part of it: a wrong type, a ragged or wrongly nested array,
+an entry of 1e400 or NaN, a negative or empty spectrum, a bad block
+sum, a missing field, or a top level that is not a JSON object.  Fixed
+cases add every non-finite entry in every field and arrays nested past
+the JSON parser's recursion limit.
 """
 
 import contextlib
 import io
 import json
+import os
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from opscale.cli import main
 
@@ -91,14 +94,14 @@ def broken_instances(draw):
     return command, data
 
 
-def run_cli(command, text):
-    """(exit code, stdout, stderr) of `opscale COMMAND -` fed `text`."""
+def run_cli(command, text, flags=("--max-iters", "50")):
+    """(exit code, stdout, stderr) of `opscale COMMAND - FLAGS` fed `text`."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "-", "--max-iters", "50"])
+            code = main([command, "-", *flags])
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -152,3 +155,43 @@ def test_valid_bases_are_accepted():
         for data in bases:
             code, out, _ = run_cli(command, json.dumps(data))
             assert code != 3 and json.loads(out)["command"] == command
+
+
+# Valid instances with the fields that one factor c > 0 scales while
+# keeping them valid: spectra, sums, weights and Horn data.  The Horn
+# spectra form is fixed to sum to the identity, so it is not scaled.
+HALL_INFEASIBLE = {"kind": "cpmap",
+                   "kraus": [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+                   "p": [0.45, 0.55], "q": [0.4, 0.6],
+                   "p_blocks": [1, 1], "q_blocks": [1, 1]}
+SCALED_FIELDS = {"p", "q", "row_sums", "col_sums", "alpha", "beta", "gamma",
+                 "weights", "spectrum", "diagonal"}
+SCALABLE = [(command, data) for command, bases in VALID.items()
+            for data in bases] + [
+    ("scale", {"kind": "cpmap", "kraus": [[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]],
+               "p": [0.6, 0.4, 0.0], "q": [0.7, 0.3]}),
+    ("check", HALL_INFEASIBLE),
+    ("matscale", {"kind": "matscale", "matrix": [[1.0, 2.0], [3.0, 4.0]],
+                  "row_sums": [1.0, 2.0], "col_sums": [1.5, 1.5]}),
+    ("horn", {"kind": "horn", "alpha": [1.0, -0.5], "beta": [0.7, 0.2],
+              "gamma": [1.5, -0.1]}),
+]
+powers = st.integers(-300, 300).map(lambda k: 10.0 ** k)
+accuracies = st.one_of(st.just(0.5), st.integers(-300, -1).map(lambda k: 10.0 ** k))
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.sampled_from(SCALABLE), powers, accuracies)
+@example(("check", HALL_INFEASIBLE), 1e-22, 0.5)
+@example(("horn", VALID["horn"][1]), 1e20, 1e-2)
+@example(("matscale", VALID["matscale"][0]), 1e307, 1e-20)
+def test_valid_instance_at_any_scale_ends_in_a_report(case, c, epsilon):
+    command, data = case
+    scaled = {k: [c * x for x in v] if k in SCALED_FIELDS else v
+              for k, v in data.items()}
+    with mock.patch.dict(os.environ, {"OPSCALE_HARD_CAP": "20"}):
+        code, out, err = run_cli(command, json.dumps(scaled),
+                                 ("--epsilon", repr(epsilon)))
+    assert code in (0, 1, 2), err
+    assert json.loads(out)["command"] == command
+    assert "Traceback" not in err

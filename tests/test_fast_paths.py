@@ -66,7 +66,7 @@ from opscale import (
 )
 from opscale import feasibility, scaler
 from opscale.apps import _majorizes
-from opscale.cpmap import _block_mask, _block_plan
+from opscale.cpmap import _block_plan
 from opscale.relmetrics import _alternating_step, _log_det
 
 block_structures = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
@@ -119,7 +119,7 @@ def test_ds_matches_per_block_literal(p_blocks, q_blocks, seed):
 @given(flag_structures)
 def test_block_plan_matches_literal_mask(blocks):
     plan, mask = _block_plan(blocks), block_mask_literal(blocks)
-    npt.assert_array_equal(_block_mask(blocks), mask)
+    npt.assert_array_equal(plan.mask, mask)
     npt.assert_array_equal(plan.flat, np.flatnonzero(mask))
     npt.assert_array_equal(plan.eye, np.eye(sum(blocks))[mask])
     assert not any(arr.flags.writeable for arr in plan)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import doubly_stochastic_map, matrix_kraus, random_complex
 from opscale import (
@@ -11,10 +12,12 @@ from opscale import (
     INCONCLUSIVE,
     INFEASIBLE,
     MarginalSpec,
+    MatrixScalingInstance,
     bit_complexity,
     certificate_epsilon,
     decide_scalable,
     ds_distance,
+    rc_feasible,
 )
 from opscale.cpmap import scale
 
@@ -84,7 +87,8 @@ class TestDecideScalable:
         M = MarginalSpec(np.ones(3), np.ones(3))
         verdict = decide_scalable(T, M)
         assert verdict.verdict == FEASIBLE and verdict.feasible
-        assert verdict.epsilon == min(certificate_epsilon(M) / 2.0, 0.5)
+        assert verdict.epsilon == min(
+            certificate_epsilon(M.normalized()[0]) / 2.0, 0.5)
         scaled = scale(T, verdict.result.pair)
         assert ds_distance(scaled, M) <= verdict.result.threshold
 
@@ -116,3 +120,38 @@ class TestDecideScalable:
         T = matrix_map([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="trace"):
             decide_scalable(T, MarginalSpec([1.0, 1.0], [1.5, 0.6]))
+
+
+def eighths(rng, total, parts):
+    """A random composition of `total` eighths into `parts` positive parts."""
+    cuts = np.sort(rng.choice(np.arange(1, total), parts - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [total]])) / 8.0
+
+
+@st.composite
+def matrix_instances(draw):
+    """3 x 4 patterns with row and column sums in eighths, totals 7/8 to 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.where(rng.random((3, 4)) < 0.65, rng.uniform(0.5, 1.5, (3, 4)), 0.0)
+    A[0, 0] = max(A[0, 0], 0.5)  # at least one positive entry
+    total = int(rng.integers(7, 17))
+    return A, eighths(rng, total, 3), eighths(rng, total, 4)
+
+
+@given(matrix_instances(), st.integers(-300, 300).map(lambda k: 10.0 ** k))
+# [[1, 1], [0, 1]] cannot reach these sums, at any scale of the spectra
+@example((np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([0.4, 0.6]),
+          np.array([0.45, 0.55])), 100.0)
+def test_decision_does_not_depend_on_the_spectrum_scale(instance, c):
+    # (cP, cQ) has exactly the eps-scalings of (P, Q), so neither the
+    # accuracy nor a conclusive verdict may move with c.
+    A, r, col = instance
+    T = matrix_map(A)
+    blocks = (1,) * col.size, (1,) * r.size
+    plain = decide_scalable(T, MarginalSpec(col, r, *blocks), max_iterations=50)
+    scaled = decide_scalable(T, MarginalSpec(c * col, c * r, *blocks),
+                             max_iterations=50)
+    assert scaled.epsilon == pytest.approx(plain.epsilon, rel=1e-12)
+    if scaled.verdict != INCONCLUSIVE:
+        expected = rc_feasible(MatrixScalingInstance(A, r, col))
+        assert scaled.verdict == (FEASIBLE if expected else INFEASIBLE)

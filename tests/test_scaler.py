@@ -173,6 +173,12 @@ class TestTriangularScale:
         assert res.status == ERROR_BUDGET and res.iterations == 0
         assert len(res.ds_trace) == 1
 
+    def test_zero_threshold_still_accepts_an_exact_scaling(self):
+        # eps^2 underflows to a zero threshold; ds is exactly 0 here
+        res = triangular_scale(CPMap([[[1.0]]]), MarginalSpec([1.0], [1.0]),
+                               SolverConfig(1e-170))
+        assert (res.status, res.iterations, res.threshold) == (SUCCESS, 0, 0.0)
+
     def test_infeasible_pattern_stops_with_finite_factors(self):
         # the only supported entry of column 1 sits in a row of total 0.5,
         # so no scaling can reach column sum 1.5: the iteration stalls and
@@ -236,6 +242,17 @@ class TestGeneralScale:
         npt.assert_allclose(ds_distance(scaled, M), res.ds_trace[-1],
                             rtol=1e-5, atol=1e-16)
         assert res.ds_trace[-1] <= res.threshold
+
+    def test_zero_threshold_stops_at_once(self):
+        # eps^2 underflows to 0, which no step can reach: the run ends at
+        # its first ds instead of spending the budget
+        rng = np.random.default_rng(19)
+        T = random_cpmap(rng, 3, 3, 4)
+        M = MarginalSpec([0.6, 0.4, 0.0], [0.5, 0.5, 0.0])
+        res = general_scale(T, M, SolverConfig(epsilon=1e-170,
+                                               max_iterations=1000))
+        assert (res.status, res.iterations) == (ERROR_BUDGET, 0)
+        assert len(res.ds_trace) == 1 and res.threshold == 0.0
 
 
 class TestSupportProjection:
@@ -350,8 +367,8 @@ def test_singular_draws_end_in_error_singular_init(monkeypatch):
     assert (res.iterations, res.ds_trace) == (0, ())
     npt.assert_array_equal(res.pair.g, np.eye(M.m))
     npt.assert_array_equal(res.pair.h, np.eye(M.n))
-    # three draws; each is rejected on its output factor, of support size 2
-    assert draws == [(2, 2)] * 3
+    # one draw, rejected on its output factor, of support size 2
+    assert draws == [(2, 2)]
     assert decide_scalable(T, M, seed=3).verdict == INCONCLUSIVE
 
 
