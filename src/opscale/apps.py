@@ -33,7 +33,7 @@ for small instances; they refuse to run past 20 index positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,16 +89,16 @@ def _positive_vector(v, name):
     return v
 
 
-def _run(T, M, epsilon, seed, max_iterations):
+def _run(T, M, epsilon, scale, seed, max_iterations):
     # The randomized solver, not the plain triangular one: the structured
     # maps built here are exactly the kind of symmetric instance on which a
     # deterministic identity start can stall on a measure-zero orbit (e.g.
     # equal Horn spectra keep every h-block identical forever, pinning ds at
     # a positive floor while the factors blow up).  A generic block
-    # initialization breaks the tie almost surely.  An accuracy that
-    # underflowed to 0 is floored, which ends the run at its first ds.
-    config = SolverConfig(epsilon=max(epsilon, math.ulp(0.0)), seed=seed,
-                          max_iterations=max_iterations)
+    # initialization breaks the tie almost surely.  The caller's epsilon is
+    # checked, then divided by scale >= 1 and floored if that underflowed.
+    config = replace(SolverConfig(epsilon, max_iterations, seed),
+                     epsilon=epsilon / scale or math.ulp(0.0))
     result = general_scale(T, M, config)
     if not result.success:
         raise ScalingFailure(result.status, result, cpmap=T, spec=M)
@@ -199,8 +199,8 @@ def matrix_scale(instance, epsilon, seed=0, max_iterations=None):
     A, r, c = instance.matrix, instance.row_sums, instance.col_sums
     T = build_matrix_cpmap(A)
     M = MarginalSpec(c, r, (1,) * c.size, (1,) * r.size)
-    eps_int = epsilon / max(1.0, float(r.max()), float(c.max()))
-    result = _run(T, M, eps_int, seed, max_iterations)
+    result = _run(T, M, epsilon, max(1.0, float(r.max()), float(c.max())),
+                  seed, max_iterations)
     X = np.abs(np.diag(result.pair.g)) ** 2 * r
     Y = np.abs(np.diag(result.pair.h)) ** 2 * c
     B = X[:, None] * A * Y[None, :]
@@ -302,8 +302,7 @@ def horn_solve(instance, epsilon, seed=0, max_iterations=None):
         (m,),
     )
     p_max = max(float(v.max()) for v in instance.spectra)
-    eps_int = epsilon / (2.0 * max(1.0, p_max))
-    result = _run(T, M, eps_int, seed, max_iterations)
+    result = _run(T, M, epsilon, 2.0 * max(1.0, p_max), seed, max_iterations)
     g, h = result.pair.g, result.pair.h
     matrices = []
     for blk, v in zip(M.p_slices(), instance.spectra):
@@ -463,9 +462,8 @@ def forster_scale(instance, epsilon, seed=0, max_iterations=None):
     m, n = instance.m, instance.n
     T = build_forster_cpmap(U)
     M = MarginalSpec(p, q, (1,) * n, (m,))
-    eps_int = epsilon / (2.0 * (float(q.max()) + math.sqrt(n) * float(p.max())
-                                + 1.0))
-    result = _run(T, M, eps_int, seed, max_iterations)
+    scale = 2.0 * (float(q.max()) + math.sqrt(n) * float(p.max()) + 1.0)
+    result = _run(T, M, epsilon, scale, seed, max_iterations)
     B = np.diag(np.sqrt(q).astype(np.complex128)) @ result.pair.g.conj().T
     W = B @ U
     W = W / np.linalg.norm(W, axis=0)

@@ -292,9 +292,12 @@ def _alternate(K, M, config, budget, trace, finish=ScalingPair):
             status = SUCCESS
             break
         # Non-finite marginals mean the Kraus updates overflowed, and a zero
-        # threshold (eps^2 underflowed) is out of reach once ds > 0; either
-        # way no further progress is possible, so the budget counts as exhausted.
-        if steps >= budget or not thresh or not math.isfinite(ds_list[-1]):
+        # threshold (eps^2 underflowed) can only be met by an exact scaling,
+        # which a step that fails to decrease ds has stopped approaching;
+        # either way no further progress is possible, so the budget counts
+        # as exhausted.
+        if (steps >= budget or not math.isfinite(ds_list[-1])
+                or not thresh and steps and ds_list[-1] >= ds_list[-2]):
             status = ERROR_BUDGET
             break
         try:

@@ -253,14 +253,46 @@ class TestMainScale:
             self, tmp_path, capsys, monkeypatch, command, data, flags):
         # eps^2 underflows to 0 in the general budget's divisor and in the
         # ds threshold: the budget must be the cap instead of raising
-        # ZeroDivisionError, and the run must stop at once, as no step can
-        # reach a zero threshold.
+        # ZeroDivisionError, and the run must end in a report.
         monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
         assert main([command, write_instance(tmp_path, data), *flags]) == 2
         report, err = read_report(capsys)
         assert report["status"] == "ERROR_BUDGET"
-        assert report["iterations"] == 0
+        assert report["iterations"] <= 50
         assert "Traceback" not in err
+
+    def test_zero_threshold_run_stops_at_the_roundoff_floor(self, tmp_path,
+                                                            capsys):
+        # at the default cap of 10^6 a zero threshold must not spend the
+        # budget: the run ends where a step first fails to decrease ds
+        path = write_instance(tmp_path, {
+            "kind": "matscale", "matrix": [[1, 2], [3, 4]],
+            "row_sums": [1e307, 1e307], "col_sums": [1e307, 1e307]})
+        assert main(["matscale", path, "--trace"]) == 2
+        report, _ = read_report(capsys)
+        ds = report["ds_trace"]
+        assert report["status"] == "ERROR_BUDGET" and report["iterations"] < 100
+        assert 0.0 < ds[-2] <= ds[-1]
+
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "1", "nan"])
+    @pytest.mark.parametrize("command, data", [
+        ("matscale", {"kind": "matscale", "matrix": [[1, 2], [3, 4]],
+                      "row_sums": [5, 5], "col_sums": [5, 5]}),
+        ("horn", {"kind": "horn", "alpha": [1.0, 0.5], "beta": [0.7, 0.2],
+                  "gamma": [1.5, 0.9]}),
+        ("forster", {"kind": "forster", "vectors": [[1, 2, 0], [1, 0, 2]],
+                     "weights": [1, 1, 1], "spectrum": [1.5, 1.5]}),
+        ("schurhorn", {"kind": "schurhorn", "diagonal": [1, 1],
+                       "spectrum": [1.2, 0.8]}),
+    ])
+    def test_accuracy_outside_the_unit_interval_exits_three(
+            self, tmp_path, capsys, command, data, epsilon):
+        # the apps divide the accuracy by at least 2 here before the solver
+        # sees it; the caller's value must still be checked as given
+        path = write_instance(tmp_path, data)
+        assert main([command, path, "--epsilon", epsilon]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "epsilon" in out.err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["scale", "check"])

@@ -23,6 +23,7 @@ from opscale import (
     ScalingPair,
     SUCCESS,
     SolverConfig,
+    build_matrix_cpmap,
     decide_scalable,
     ds_distance,
     ds_threshold,
@@ -173,11 +174,20 @@ class TestTriangularScale:
         assert res.status == ERROR_BUDGET and res.iterations == 0
         assert len(res.ds_trace) == 1
 
-    def test_zero_threshold_still_accepts_an_exact_scaling(self):
-        # eps^2 underflows to a zero threshold; ds is exactly 0 here
-        res = triangular_scale(CPMap([[[1.0]]]), MarginalSpec([1.0], [1.0]),
-                               SolverConfig(1e-170))
-        assert (res.status, res.iterations, res.threshold) == (SUCCESS, 0, 0.0)
+    @pytest.mark.parametrize("T, M, steps", [
+        # ds is exactly 0 at the start
+        (CPMap([[[1.0]]]), MarginalSpec([1.0], [1.0]), 0),
+        # one balance step reaches it
+        (CPMap([[[2.0]]]), MarginalSpec([1.0], [1.0]), 1),
+        # a rank-one matrix needs a row and a column balance
+        (build_matrix_cpmap(np.outer([1.0, 3.0], [2.0, 5.0])),
+         MarginalSpec([0.3, 0.7], [0.6, 0.4], (1, 1), (1, 1)), 2),
+    ])
+    def test_zero_threshold_still_accepts_an_exact_scaling(self, T, M, steps):
+        # eps^2 underflows to a zero threshold, which only ds == 0 meets
+        res = triangular_scale(T, M, SolverConfig(1e-170))
+        assert (res.status, res.iterations, res.threshold) == (SUCCESS, steps,
+                                                               0.0)
 
     def test_infeasible_pattern_stops_with_finite_factors(self):
         # the only supported entry of column 1 sits in a row of total 0.5,
@@ -243,16 +253,20 @@ class TestGeneralScale:
                             rtol=1e-5, atol=1e-16)
         assert res.ds_trace[-1] <= res.threshold
 
-    def test_zero_threshold_stops_at_once(self):
-        # eps^2 underflows to 0, which no step can reach: the run ends at
-        # its first ds instead of spending the budget
+    def test_zero_threshold_stops_once_ds_stops_decreasing(self):
+        # eps^2 underflows to 0, which this instance reaches only in exact
+        # arithmetic: the run ends at the roundoff floor of ds, where a step
+        # first fails to decrease it, instead of spending the budget
         rng = np.random.default_rng(19)
         T = random_cpmap(rng, 3, 3, 4)
         M = MarginalSpec([0.6, 0.4, 0.0], [0.5, 0.5, 0.0])
         res = general_scale(T, M, SolverConfig(epsilon=1e-170,
                                                max_iterations=1000))
-        assert (res.status, res.iterations) == (ERROR_BUDGET, 0)
-        assert len(res.ds_trace) == 1 and res.threshold == 0.0
+        assert res.status == ERROR_BUDGET and res.threshold == 0.0
+        ds = res.ds_trace
+        assert 0 < res.iterations < 1000 and len(ds) == res.iterations + 1
+        assert all(a > b for a, b in zip(ds[:-2], ds[1:-1]))
+        assert 0.0 < ds[-2] <= ds[-1] < 1e-20
 
 
 class TestSupportProjection:
