@@ -10,15 +10,20 @@ Scaling by an invertible pair (g, h) replaces every A_i by g^dag A_i h,
 i.e. T_{g,h}(X) = g^dag T(h X h^dag) g, one batched product over the
 stack.  For diagonal targets each marginal is one product too:
 T(P) = B B^dag with B = [A_1 sqrt(P) | ... | A_r sqrt(P)], and
-T*(Q) = V^dag V with V = [sqrt(Q) A_1; ...; sqrt(Q) A_r].  apply and
+T*(Q) = V^dag V with V = [sqrt(Q) A_1; ...; sqrt(Q) A_r], each its own
+function so that a solver step, which already holds the marginal it just
+balanced, computes only the other one from the rescaled stack.  apply and
 dual_apply keep the literal per-operator sums as reference evaluations.
 
 The balancing primitive used by every solver finds, for positive definite
 S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
 Cholesky factor L of S masked to its diagonal blocks, so g is
-block-diagonal with upper-triangular blocks.  The flag geometry of a block
-structure (mask, in-block indices, ds weight indices) is one read-only
-plan, built on first use and cached, so solver steps do not rebuild it.
+block-diagonal with upper-triangular blocks.  Positive definiteness is
+tested by a Cholesky factorization of S - floor I rather than by its
+eigenvalues, and every factorization is one direct LAPACK zpotrf call.
+The flag geometry of a block structure (mask, in-block indices, ds weight
+indices) is one read-only plan, built on first use and cached, so solver
+steps do not rebuild it.
 """
 
 from __future__ import annotations
@@ -296,12 +301,22 @@ def scale(T, pair):
     return CPMap(g.conj().T @ T.kraus @ h)
 
 
-def _stacked_marginals(K, p, q):
-    """(T(diag p), T*(diag q)) for the (r, m, n) Kraus stack K, one GEMM each."""
+def _output_marginal(K, p):
+    """T(diag p) = B B^dag for the (r, m, n) Kraus stack K, one GEMM."""
     r, m, n = K.shape
     B = (K * np.sqrt(p)).transpose(1, 0, 2).reshape(m, r * n)
-    V = (np.sqrt(q)[:, None] * K).reshape(r * m, n)
-    return hermitian_part(B @ B.conj().T), hermitian_part(V.conj().T @ V)
+    return hermitian_part(B @ B.conj().T)
+
+
+def _input_marginal(K, q):
+    """T*(diag q) = V^dag V for the (r, m, n) Kraus stack K, one GEMM."""
+    V = (np.sqrt(q)[:, None] * K).reshape(-1, K.shape[2])
+    return hermitian_part(V.conj().T @ V)
+
+
+def _stacked_marginals(K, p, q):
+    """(T(diag p), T*(diag q)) for the (r, m, n) Kraus stack K."""
+    return _output_marginal(K, p), _input_marginal(K, q)
 
 
 def marginals(T, M):
@@ -319,6 +334,25 @@ def singular_floor(S):
     return 1e-12 * float(np.trace(S).real) / S.shape[0]
 
 
+def _block_diagonal(X, blocks):
+    """X with the entries outside its diagonal blocks zeroed; X for one block."""
+    return X if len(blocks) == 1 else np.where(_block_plan(blocks).mask, X, 0.0)
+
+
+def _cholesky(X):
+    """Lower Cholesky factor of Hermitian X by LAPACK zpotrf, or None.
+
+    Reads the lower triangle of X only.  None when the factorization
+    fails, i.e. X is not numerically positive definite, or when the
+    factor is not finite (zpotrf itself lets NaN through).  The factor
+    has the bits np.linalg.cholesky gives, without its wrapper cost.
+    """
+    L, info = scipy.linalg.lapack.zpotrf(X, lower=1, clean=1)
+    if info or not np.isfinite(L.diagonal()).all():
+        return None
+    return L
+
+
 def balance_factor(S, block_sizes=None):
     """Upper-triangular g with g^dag S g = I (equivalently g g^dag = S^{-1}).
 
@@ -334,22 +368,24 @@ def balance_factor(S, block_sizes=None):
     ------
     NotPositiveDefinite
         If the smallest eigenvalue of S does not exceed the singular
-        floor 1e-12 * trace(S)/dim.  For the solvers this signals a
-        vanishing capacity (infeasibility) or numerical breakdown.
+        floor 1e-12 * trace(S)/dim, or S is not finite.  For the solvers
+        this signals a vanishing capacity (infeasibility) or numerical
+        breakdown.  The test is one Cholesky factorization of the whole
+        of S - floor I; eigvalsh runs only when that fails, to report the
+        smallest eigenvalue (NaN for a non-finite S) and to overrule a
+        failure inside the roundoff band of the factorization.
     """
     S = hermitian_part(np.asarray(S, dtype=np.complex128))
     d = S.shape[0]
-    floor = singular_floor(S)
-    min_eig = float(np.linalg.eigvalsh(S)[0])
-    if not min_eig > max(floor, 0.0):
-        raise NotPositiveDefinite(min_eig)
-    if block_sizes is None:
-        block_sizes = (d,)
-    mask = _block_plan(_check_blocks(block_sizes, d, "block_sizes")).mask
-    try:
-        L = np.linalg.cholesky(np.where(mask, S, 0.0))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(min_eig) from None
+    floor = max(singular_floor(S), 0.0)
+    blocks = (d,) if block_sizes is None else _check_blocks(block_sizes, d,
+                                                            "block_sizes")
+    if (_cholesky(S - floor * _identity(d)) is None
+            and not _min_eigenvalue(S) > floor):
+        raise NotPositiveDefinite(_min_eigenvalue(S))
+    L = _cholesky(_block_diagonal(S, blocks))
+    if L is None:
+        raise NotPositiveDefinite(_min_eigenvalue(S))
     # L^{-1} by the LAPACK call that scipy.linalg.solve_triangular(L, I,
     # lower=True) makes for a C-ordered L: (L^T)^T X = I, L^T upper.
     Linv, info = scipy.linalg.lapack.ztrtrs(L.T, _identity(d), lower=0, trans=1)
@@ -359,6 +395,13 @@ def balance_factor(S, block_sizes=None):
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return Linv.conj().T
+
+
+def _min_eigenvalue(S):
+    """Smallest eigenvalue of Hermitian S; NaN when S is not finite."""
+    if not np.isfinite(S.view(np.float64)).all():
+        return math.nan
+    return float(np.linalg.eigvalsh(S)[0])
 
 
 def convert_pair(pair, M):

@@ -30,7 +30,11 @@ upper-triangular h.  Each solver step multiplies the capacity by an
 easily computed factor (det of the incremental balance factor), which the
 solvers record in a CapacityTrace.  Both solvers and estimate_capacity
 share one alternating step; estimate_capacity runs it standalone to
-produce an upper estimate of cap.
+produce an upper estimate of cap.  The step carries both marginals from
+one step to the next and computes one of them from the Kraus stack: the
+side it balances becomes inc^dag target inc, the product it forms anyway
+for the upper estimate, which differs from the recomputed marginal only
+by roundoff.
 """
 
 from __future__ import annotations
@@ -278,10 +282,12 @@ class CapacityEstimate:
 
 
 def _log_det(a, X, blocks):
-    """log det(a, X) from one Cholesky of the block-masked X; -inf if not PD."""
-    try:
-        L = np.linalg.cholesky(np.where(cpmap._block_plan(blocks).mask, X, 0.0))
-    except np.linalg.LinAlgError:
+    """log det(a, X) from one Cholesky of the block-masked X; -inf if not PD.
+
+    X is Hermitian and only its lower triangle is read.
+    """
+    L = cpmap._cholesky(cpmap._block_diagonal(X, blocks))
+    if L is None:
         return -math.inf
     return 2.0 * float(np.dot(a, np.log(L.diagonal().real)))
 
@@ -289,19 +295,28 @@ def _log_det(a, X, blocks):
 def _alternating_step(K, primal, dual, M, j):
     """Step j of the alternating iteration on the (r, m, n) Kraus stack K.
 
-    Even steps balance T(P) against q, odd steps T*(Q) against p.  Returns
-    (balance factor, rescaled K, log capacity-change factor
-    -log det(a, target), log det(a, balanced target) ~ 0); raises
-    NotPositiveDefinite when the target cannot be balanced.
+    Even steps balance T(P) against q, odd steps T*(Q) against p.  The
+    balanced marginal inc^dag target inc is the new marginal of that
+    side, so only the other one is computed from the rescaled stack.
+    Returns (balance factor, rescaled K, its (primal, dual) marginals,
+    log capacity-change factor -log det(a, target), log det(a, balanced
+    target) ~ 0); raises NotPositiveDefinite when the target cannot be
+    balanced.
     """
     output = j % 2 == 0
     target, a, blocks = ((primal, M.q, M.q_blocks) if output
                          else (dual, M.p, M.p_blocks))
     inc = cpmap.balance_factor(target, blocks)
     log_factor = 2.0 * float(np.dot(a, np.log(inc.diagonal().real)))
-    upper = _log_det(a, inc.conj().T @ target @ inc, blocks)
-    K = inc.conj().T @ K if output else K @ inc
-    return inc, K, log_factor, upper
+    balanced = inc.conj().T @ target @ inc
+    upper = _log_det(a, balanced, blocks)
+    if output:
+        K = inc.conj().T @ K
+        marginals = balanced, cpmap._input_marginal(K, M.q)
+    else:
+        K = K @ inc
+        marginals = cpmap._output_marginal(K, M.p), balanced
+    return inc, K, marginals, log_factor, upper
 
 
 def estimate_capacity(T, M, budget=200):
@@ -320,19 +335,20 @@ def estimate_capacity(T, M, budget=200):
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
     K = T.kraus
+    primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
     cum = 0.0
     best = math.inf
     # Overflowing Kraus updates are handled: the estimate then diverges.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(int(budget) + 1):
-            primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
             best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
             if best <= _MINOR_FLOOR_LOG:
                 return CapacityEstimate(0.0, -math.inf, True, j)
             if j == budget:
                 break
             try:
-                _, K, log_factor, _ = _alternating_step(K, primal, dual, M, j)
+                _, K, (primal, dual), log_factor, _ = _alternating_step(
+                    K, primal, dual, M, j)
             except NotPositiveDefinite:
                 return CapacityEstimate(0.0, -math.inf, True, j)
             cum += log_factor

@@ -18,7 +18,12 @@ instances: restrict to the support of the spectra, precompose with a
 random block-diagonal Gaussian pair (drawn once; a numerically singular
 draw ends the run), run the triangular iteration, and lift back with the
 identity off the support.  Both run the loop on the raw (r, m, n) Kraus
-stack and validate only the ScalingPair they return.
+stack and validate only the ScalingPair they return.  A SUCCESS is
+reported only after the returned pair's ds, recomputed once on the
+instance as given, meets the threshold (to a relative 1e-6); otherwise
+the run ends in ERROR_BUDGET.  A run whose threshold lies below the
+roundoff floor of ds, about (m + n)^2 u^2, ends in ERROR_BUDGET at the
+first step that fails to decrease ds while ds stays at that floor.
 
 Iteration budgets default to worst-case formulas driven by the instance
 bit complexity b; every budget is clamped by the OPSCALE_HARD_CAP
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +70,8 @@ ERROR_SINGULAR_INIT = "ERROR_SINGULAR_INIT"
 # Factor norms past this are treated as divergence (squaring them in a
 # marginal must stay well below the double-precision overflow threshold).
 _FACTOR_CAP = 1e100
+# The unit roundoff of double precision, squared.
+_UNIT_ROUNDOFF_SQ = 2.0**-106
 
 
 def hard_cap():
@@ -96,11 +103,13 @@ class SolverConfig:
 class ScalingResult:
     """Outcome of a solver run.
 
-    `pair` is the last iterate (g, h) — on SUCCESS it certifies
-    ds <= threshold for the original instance.  When the last factors are
-    too ill-conditioned to form a pair, `pair` is the starting one and the
-    status ERROR_BUDGET; ERROR_NOT_PD stays, as its evidence is the rank
-    of a marginal, not the pair.  `ds_trace` holds the ds value at the
+    `pair` is the last iterate (g, h).  SUCCESS is reported only after
+    the ds of scale(T, pair), recomputed once on the instance as given,
+    is checked to be at most threshold * (1 + 1e-6); a pair that fails
+    the check, or whose factors are too ill-conditioned to form a pair
+    at all (`pair` is then the starting one), turns SUCCESS into
+    ERROR_BUDGET.  ERROR_NOT_PD stays, as its evidence is the rank of a
+    marginal, not the pair.  `ds_trace` holds the ds value at the
     top of every iteration in original units, so final ds = ds_trace[-1].
     `capacity_trace` records the per-step log capacity-change factors
     together with the log relative determinant of each freshly balanced
@@ -281,28 +290,31 @@ def _alternate(K, M, config, budget, trace, finish=ScalingPair):
     """
     Mhat, s = M.normalized()
     thresh = ds_threshold(config.epsilon, Mhat)
+    # The roundoff floor of ds: once each of the m^2 + n^2 marginal entries
+    # is off by about one unit roundoff, ds (weights at most 1) stays below.
+    floor = _UNIT_ROUNDOFF_SQ * sum(K.shape[1:]) ** 2
     gh = [np.eye(d, dtype=np.complex128) for d in K.shape[1:]]
     ds_list = []
     steps = 0
     min_eig = None
+    primal, dual = cpmap._stacked_marginals(K, Mhat.p, Mhat.q)
     while True:
-        primal, dual = cpmap._stacked_marginals(K, Mhat.p, Mhat.q)
         ds_list.append(relmetrics.ds_from_marginals(primal, dual, Mhat))
         if ds_list[-1] <= thresh:
             status = SUCCESS
             break
-        # Non-finite marginals mean the Kraus updates overflowed, and a zero
-        # threshold (eps^2 underflowed) can only be met by an exact scaling,
-        # which a step that fails to decrease ds has stopped approaching;
-        # either way no further progress is possible, so the budget counts
-        # as exhausted.
+        # Non-finite marginals mean the Kraus updates overflowed, and a step
+        # that fails to decrease ds while it stays at its roundoff floor
+        # (above the threshold, or the run would have succeeded) shows the
+        # iteration has stopped approaching the threshold; either way no
+        # further progress is possible, so the budget counts as exhausted.
         if (steps >= budget or not math.isfinite(ds_list[-1])
-                or not thresh and steps and ds_list[-1] >= ds_list[-2]):
+                or steps and ds_list[-2] <= ds_list[-1] <= floor):
             status = ERROR_BUDGET
             break
         try:
-            inc, K, log_factor, upper = _alternating_step(K, primal, dual,
-                                                          Mhat, steps)
+            inc, K, (primal, dual), log_factor, upper = _alternating_step(
+                K, primal, dual, Mhat, steps)
         except NotPositiveDefinite as err:
             status = ERROR_NOT_PD
             min_eig = err.min_eigenvalue
@@ -331,6 +343,24 @@ def _alternate(K, M, config, budget, trace, finish=ScalingPair):
                    None if min_eig is None else s * min_eig)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _certified(T, M, res):
+    """res, or ERROR_BUDGET for a SUCCESS whose pair misses the threshold.
+
+    The loop's ds is that of the iterated stack; once the factors are
+    ill-conditioned, g^dag T h formed from the returned pair no longer
+    reproduces it.  So the pair's ds is recomputed once, on the instance
+    (T, M) as given, by the loop's own formula; an overflow fails.
+    """
+    if res.status != SUCCESS:
+        return res
+    K = res.pair.g.conj().T @ T.kraus @ res.pair.h
+    ds = relmetrics.ds_from_marginals(*cpmap._stacked_marginals(K, M.p, M.q), M)
+    if ds <= res.threshold * (1 + 1e-6):
+        return res
+    return replace(res, status=ERROR_BUDGET)
+
+
 def triangular_scale(T, M, config):
     """Deterministic alternating scaling for nonsingular target spectra."""
     _check_instance(T, M)
@@ -339,8 +369,8 @@ def triangular_scale(T, M, config):
             "triangular_scale needs strictly positive spectra; "
             "project to the support (or call general_scale) first"
         )
-    return _alternate(T.kraus, M, config,
-                      *_resolve_budget(T, M, config, "triangular"))
+    return _certified(T, M, _alternate(
+        T.kraus, M, config, *_resolve_budget(T, M, config, "triangular")))
 
 
 def _block_gaussian(rng, slices, dim):
@@ -387,4 +417,4 @@ def general_scale(T, M, config):
     # cpmap.scale forms, unvalidated: overflow ends the loop at its first ds.
     with np.errstate(over="ignore", invalid="ignore"):
         K = g0.conj().T @ Tr.kraus @ h0
-    return _alternate(K, Mr, config, budget, trace, finish)
+    return _certified(T, M, _alternate(K, Mr, config, budget, trace, finish))

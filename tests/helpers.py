@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from opscale import CPMap, NotPositiveDefinite, Partition
+from opscale import (
+    CPMap,
+    NotPositiveDefinite,
+    Partition,
+    ds_from_marginals,
+    ds_threshold,
+    marginals,
+)
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -192,6 +199,35 @@ def balance_factor_literal(S, blocks):
     Linv = scipy.linalg.solve_triangular(L, np.eye(d, dtype=np.complex128),
                                          lower=True)
     return Linv.conj().T
+
+
+def alternate_literal(T, M, epsilon, budget):
+    """The alternating iteration recomputing both marginals at every step.
+
+    Returns (status, iterations, ds trace, min eigenvalue) in the units of
+    M, as the solver reports them; balances by balance_factor_literal.
+    """
+    Mhat, s = M.normalized()
+    thresh = ds_threshold(epsilon, Mhat)
+    K = np.array(T.kraus)
+    ds = []
+    for j in range(budget + 1):
+        primal, dual = marginals(CPMap(K), Mhat)
+        d = ds_from_marginals(primal, dual, Mhat)
+        ds.append(s * d)
+        if d <= thresh:
+            return "SUCCESS", j, ds, None
+        if j == budget:
+            break
+        output = j % 2 == 0
+        try:
+            inc = balance_factor_literal(primal if output else dual,
+                                         Mhat.q_blocks if output
+                                         else Mhat.p_blocks)
+        except NotPositiveDefinite as err:
+            return "ERROR_NOT_PD", j, ds, s * err.min_eigenvalue
+        K = inc.conj().T @ K if output else K @ inc
+    return "ERROR_BUDGET", budget, ds, None
 
 
 def entry_bits_literal(x):

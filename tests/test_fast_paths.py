@@ -10,9 +10,11 @@ bit_complexity (helpers.bit_complexity_literal) and for the budgets it
 feeds when the lower-bound shortcut skips it, per-operator loops for
 the Kraus stacks that the app builders, scale and project_to_support
 write in one go, the converted-pair errors (helpers.converted_errors)
-that the lift's deleted off-support fill search compared, and the
+that the lift's deleted off-support fill search compared, the
 subset enumeration of polymatroid_membership that schur_horn's
-majorization test stands in for.
+majorization test stands in for, eigvalsh for the Cholesky test of
+positive definiteness, and a loop recomputing both marginals every step
+(helpers.alternate_literal) for the step that computes one.
 """
 
 import math
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    alternate_literal,
     balance_factor_literal,
     bit_complexity_literal,
     block_mask_literal,
@@ -38,6 +41,7 @@ from helpers import (
     random_cpmap,
     random_hermitian,
     random_pd,
+    random_unitary,
     random_upper,
 )
 from opscale import (
@@ -63,6 +67,8 @@ from opscale import (
     polymatroid_membership,
     project_to_support,
     scale,
+    singular_floor,
+    triangular_scale,
 )
 from opscale import feasibility, scaler
 from opscale.apps import _majorizes
@@ -159,6 +165,67 @@ def test_balance_factor_not_pd_matches_literal(blocks, seed):
     assert new.value.min_eigenvalue == old.value.min_eigenvalue
 
 
+@given(flag_structures.filter(lambda b: sum(b) > 1),
+       st.one_of(st.floats(-2.0, -1e-2), st.floats(1e-2, 10.0)), seeds)
+def test_balance_factor_pd_decision_matches_eigvalsh(blocks, delta, seed):
+    # lambda_min(S) = floor * (1 + delta), outside the roundoff band of both
+    # the Cholesky test and eigvalsh (|delta| >= 1e-2, other eigenvalues in
+    # [1, 2], so floor * |delta| >= 1e-14 against roundoff ~d u ||S||); a
+    # 1 x 1 S is its own trace, so its floor cannot be put there
+    rng = np.random.default_rng(seed)
+    d = sum(blocks)
+    rest = rng.uniform(1.0, 2.0, d - 1)
+    c = 1e-12 * (1.0 + delta) / d
+    lam = np.append(rest, c * rest.sum() / (1.0 - c))
+    U = random_unitary(rng, d)
+    S = (U * lam) @ U.conj().T
+    npt.assert_allclose(lam[-1], singular_floor(S) * (1.0 + delta), rtol=1e-6)
+    try:
+        balance_factor_literal(S, blocks)
+    except NotPositiveDefinite as err:
+        with pytest.raises(NotPositiveDefinite) as new:
+            balance_factor(S, blocks)
+        assert new.value.min_eigenvalue == err.min_eigenvalue
+        assert delta < 0
+    else:
+        balance_factor(S, blocks)
+        assert delta > 0
+
+
+# Symmetrizing an infinite complex entry makes NaN, and numpy warns of it.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 0), (2, 2)])
+def test_balance_factor_rejects_non_finite_input(bad, where):
+    # zpotrf alone lets NaN through with a NaN factor; such an S is not PD
+    S = random_pd(np.random.default_rng(0), 3)
+    S[where] = bad
+    for blocks in (None, (1, 2), (1, 1, 1)):
+        with pytest.raises(NotPositiveDefinite) as info:
+            balance_factor(S, blocks)
+        assert math.isnan(info.value.min_eigenvalue)
+
+
+@given(flag_structures, flag_structures, st.integers(1, 4),
+       st.sampled_from([1e-2, 1e-4, 1e-6]), st.integers(0, 60), seeds)
+def test_one_product_loop_matches_literal_loop(p_blocks, q_blocks, r, eps,
+                                               budget, seed):
+    # The solver reuses the balanced marginal inc^dag target inc and
+    # computes only the other one from the stack; the literal loop
+    # recomputes both every step.  ds may differ by the roundoff of the
+    # balanced side only, far below every threshold here: relatively, or
+    # absolutely in a last ds that one step made exact but for roundoff.
+    rng = np.random.default_rng(seed)
+    M = random_blocked_spec(rng, p_blocks, q_blocks)
+    M = MarginalSpec(M.p, M.q * (M.p.sum() / M.q.sum()), p_blocks, q_blocks)
+    T = random_cpmap(rng, M.m, M.n, r)
+    res = triangular_scale(T, M, SolverConfig(eps, max_iterations=budget))
+    status, steps, ds, min_eig = alternate_literal(T, M, eps, budget)
+    assert (res.status, res.iterations, res.min_eigenvalue) == (status, steps,
+                                                               min_eig)
+    npt.assert_allclose(res.ds_trace, ds, rtol=1e-12, atol=1e-26)
+
+
 @given(flag_structures, flag_structures, st.integers(-30, 30), seeds)
 def test_normalized_spec_matches_constructor(p_blocks, q_blocks, exp10, seed):
     rng = np.random.default_rng(seed)
@@ -211,8 +278,8 @@ def test_step_capacity_factors_match_minors(p_blocks, q_blocks, j, seed):
     M = random_blocked_spec(rng, p_blocks, q_blocks)
     T = random_cpmap(rng, M.m, M.n, M.m * M.n)
     primal, dual = marginals(T, M)
-    inc, K, log_factor, upper = _alternating_step(np.stack(T.kraus), primal,
-                                                  dual, M, j)
+    inc, K, _, log_factor, upper = _alternating_step(np.stack(T.kraus),
+                                                     primal, dual, M, j)
     target, a, blocks = ((primal, M.q, q_blocks) if j == 0
                          else (dual, M.p, p_blocks))
     npt.assert_allclose(log_factor, -log_relative_det(a, target, blocks),

@@ -3,9 +3,11 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import (
     bit_complexity_literal,
+    ds_literal,
     matrix_kraus,
     random_complex,
     random_cpmap,
@@ -15,6 +17,7 @@ from opscale import (
     AllZeroSpectrum,
     CPMap,
     ERROR_BUDGET,
+    ForsterInstance,
     ERROR_NOT_PD,
     ERROR_SINGULAR_INIT,
     INCONCLUSIVE,
@@ -22,11 +25,13 @@ from opscale import (
     NotInvertible,
     ScalingPair,
     SUCCESS,
+    ScalingFailure,
     SolverConfig,
     build_matrix_cpmap,
     decide_scalable,
     ds_distance,
     ds_threshold,
+    forster_scale,
     general_scale,
     hard_cap,
     iteration_budget,
@@ -368,7 +373,8 @@ def test_traced_layers_are_called_once_per_step(monkeypatch, solve, instance,
     res = solve(T, M, SolverConfig(epsilon=1e-4, seed=3))
     assert res.status == status
     assert counts["balance_factor"] == res.iterations + (status == ERROR_NOT_PD)
-    assert counts["ds_from_marginals"] == res.iterations + 1
+    assert counts["ds_from_marginals"] == (res.iterations + 1
+                                           + (status == SUCCESS))
 
 
 def test_singular_draws_end_in_error_singular_init(monkeypatch):
@@ -467,3 +473,67 @@ def test_reading_the_bound_releases_the_instance():
     assert ref() is not None  # the unread bound still needs the map
     assert res.capacity_trace.log_lower_bound < 0
     assert ref() is None
+
+
+def _collinear_forster(seed):
+    """Points whose columns 1..k lie on column 0 up to 1e-17 relative.
+
+    Such a set is not scalable at most weights, but the iteration on it
+    can reach ds <= threshold with factors whose condition number nears
+    1e16, where g^dag T h formed from them no longer reproduces it.
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    n = int(rng.integers(m, m + 5))
+    U = random_complex(rng, (m, n))
+    for j in range(1, int(rng.integers(1, n)) + 1):
+        U[:, j] = (U[:, 0] * complex(*rng.standard_normal(2))
+                   + 1e-17 * np.linalg.norm(U[:, 0]) * rng.standard_normal(m))
+    p = rng.uniform(0.5, 1.5, n)
+    q = np.sort(rng.uniform(0.5, 1.5, m))[::-1]
+    return ForsterInstance(U, p, q * (p.sum() / q.sum()))
+
+
+# The pinned draws returned SUCCESS with pairs off by ds/threshold 1e6-1e14.
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-2, 1e-4]))
+@example(1, 1e-4)
+@example(9, 1e-4)
+@example(13, 1e-4)
+@example(42, 1e-2)
+@example(48, 1e-2)
+def test_success_certifies_the_returned_pair(seed, epsilon):
+    inst = _collinear_forster(seed)
+    try:
+        sol = forster_scale(inst, epsilon, max_iterations=3000)
+    except ScalingFailure:  # a last pair too singular to form B
+        return
+    res = sol.result
+    if not res.success:
+        assert res.status in (ERROR_BUDGET, ERROR_NOT_PD)
+        return
+    # ds of scale(T, pair) by the literal corner sums, one Kraus at a time
+    T, M, g, h = sol.cpmap, sol.spec, res.pair.g, res.pair.h
+    ops = [g.conj().T @ A @ h for A in T.kraus]
+    primal = sum(B @ np.diag(M.p) @ B.conj().T for B in ops)
+    dual = sum(B.conj().T @ np.diag(M.q) @ B for B in ops)
+    assert ds_literal(primal, dual, M.p, M.q) <= res.threshold * (1 + 1e-6)
+    # and the app's own output meets its oracle
+    W = sol.vectors
+    gram = (W * inst.weights) @ W.conj().T
+    assert np.linalg.norm(gram - np.diag(inst.spectrum)) <= epsilon
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_threshold_below_the_roundoff_floor_stops_there(seed):
+    # eps = 1e-100 gives a threshold of 5e-201, which no double-precision
+    # marginal can reach: ds stalls near u^2 (u = 2^-53), and the run ends
+    # at the first step that fails to decrease it there, not at the cap
+    T = random_cpmap(np.random.default_rng(seed), 2, 2, 2)
+    M = MarginalSpec([0.6, 0.4], [0.5, 0.5])
+    res = triangular_scale(T, M, SolverConfig(1e-100))
+    assert res.status == ERROR_BUDGET and 0 < res.threshold < 1e-200
+    ds = res.ds_trace
+    assert res.iterations < 1000 and len(ds) == res.iterations + 1
+    assert ds[-2] <= ds[-1] <= 16 * 2.0**-106
+    # at eps = 1e-7 the same map succeeds, far above the floor
+    assert triangular_scale(T, M, SolverConfig(1e-7)).success
