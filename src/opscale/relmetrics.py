@@ -314,7 +314,7 @@ def _alternating_step(K, primal, dual, M, j):
         K = inc.conj().T @ K
         marginals = balanced, cpmap._input_marginal(K, M.q)
     else:
-        K = K @ inc
+        K = (K.reshape(-1, K.shape[2]) @ inc).reshape(K.shape)
         marginals = cpmap._output_marginal(K, M.p), balanced
     return inc, K, marginals, log_factor, upper
 

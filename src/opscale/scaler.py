@@ -9,21 +9,24 @@ normalization (h picks up a factor 1/sqrt(s)), while reported ds values
 are converted back to original units, where the success threshold
 transfers exactly (ds is linear in s).
 
-triangular_scale is the deterministic alternating iteration: at each
+Both solvers are one solve body run from two starts (g0, h0).  At each
 step the currently unbalanced marginal is pushed to the identity by a
 (block) upper-triangular balance factor, so the flag structure declared
-by the marginal spec is preserved throughout.  It requires strictly
-positive spectra.  general_scale handles singular targets and arbitrary
-instances: restrict to the support of the spectra, precompose with a
-random block-diagonal Gaussian pair (drawn once; a numerically singular
-draw ends the run), run the triangular iteration, and lift back with the
-identity off the support.  Both run the loop on the raw (r, m, n) Kraus
-stack and validate only the ScalingPair they return.  A SUCCESS is
-reported only after the returned pair's ds, recomputed once on the
-instance as given, meets the threshold (to a relative 1e-6); otherwise
-the run ends in ERROR_BUDGET.  A run whose threshold lies below the
-roundoff floor of ds, about (m + n)^2 u^2, ends in ERROR_BUDGET at the
-first step that fails to decrease ds while ds stays at that floor.
+by the marginal spec is preserved throughout.  triangular_scale starts
+from the identity and requires strictly positive spectra; general_scale
+handles singular targets and arbitrary instances from a random
+block-diagonal Gaussian pair, drawn once (a numerically singular draw
+ends the run).  A solve restricts the instance to the support of the
+spectra (a no-op on positive spectra), runs the loop on the raw
+(r, m, n) Kraus stack g0^dag T h0, composes the last iterate with the
+start, lifts it back with the identity off the support, and validates
+only the ScalingPair it returns.  A SUCCESS is reported only after the
+returned pair's ds, recomputed once on the instance as given, meets the
+threshold (to a relative 1e-6); otherwise the run ends in ERROR_BUDGET.
+A run whose threshold lies below the roundoff floor of ds, about
+(m + n)^2 u^2, ends in ERROR_BUDGET at the first step whose ds is at
+that floor and not below both of the two before it, which also stops a
+2-cycle at the floor.
 
 Iteration budgets default to worst-case formulas driven by the instance
 bit complexity b; every budget is clamped by the OPSCALE_HARD_CAP
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,14 +247,6 @@ def _check_instance(T, M):
         )
 
 
-def _result(config, M, trace, pair, status, steps=0, ds_trace=(), min_eig=None):
-    """ScalingResult in original units, with threshold and epsilon of (config, M)."""
-    return ScalingResult(pair=pair, status=status, iterations=steps, ds_trace=ds_trace,
-                         threshold=ds_threshold(config.epsilon, M),
-                         epsilon=config.epsilon, capacity_trace=trace,
-                         min_eigenvalue=min_eig)
-
-
 def _resolve_budget(T, M, config, mode):
     """(budget, empty CapacityTrace) of a solve on (T, M).
 
@@ -277,102 +272,6 @@ def _resolve_budget(T, M, config, mode):
     return iteration_budget(b, *args), CapacityTrace(log_lower_bound=lower)
 
 
-# Overflow is handled, not warned about: non-finite marginals and
-# diverging factors both end the run with ERROR_BUDGET.
-@np.errstate(over="ignore", invalid="ignore")
-def _alternate(K, M, config, budget, trace, finish=ScalingPair):
-    """Core loop on the (r, m, n) Kraus stack K of a positive-spectrum instance.
-
-    Runs the shared alternating step on K in normalized units, recording
-    each step in `trace`, and returns the ScalingResult in original
-    units.  Its pair is finish(g, h) of the last iterate, or of the
-    identity start when finish finds the last iterate singular.
-    """
-    Mhat, s = M.normalized()
-    thresh = ds_threshold(config.epsilon, Mhat)
-    # The roundoff floor of ds: once each of the m^2 + n^2 marginal entries
-    # is off by about one unit roundoff, ds (weights at most 1) stays below.
-    floor = _UNIT_ROUNDOFF_SQ * sum(K.shape[1:]) ** 2
-    gh = [np.eye(d, dtype=np.complex128) for d in K.shape[1:]]
-    ds_list = []
-    steps = 0
-    min_eig = None
-    primal, dual = cpmap._stacked_marginals(K, Mhat.p, Mhat.q)
-    while True:
-        ds_list.append(relmetrics.ds_from_marginals(primal, dual, Mhat))
-        if ds_list[-1] <= thresh:
-            status = SUCCESS
-            break
-        # Non-finite marginals mean the Kraus updates overflowed, and a step
-        # that fails to decrease ds while it stays at its roundoff floor
-        # (above the threshold, or the run would have succeeded) shows the
-        # iteration has stopped approaching the threshold; either way no
-        # further progress is possible, so the budget counts as exhausted.
-        if (steps >= budget or not math.isfinite(ds_list[-1])
-                or steps and ds_list[-2] <= ds_list[-1] <= floor):
-            status = ERROR_BUDGET
-            break
-        try:
-            inc, K, (primal, dual), log_factor, upper = _alternating_step(
-                K, primal, dual, Mhat, steps)
-        except NotPositiveDefinite as err:
-            status = ERROR_NOT_PD
-            min_eig = err.min_eigenvalue
-            break
-        trace.append(log_factor, upper)
-        # On an infeasible instance the accumulated factors diverge (even
-        # while the iterated marginals stay bounded); stop once they leave
-        # the comfortably representable range, keeping the current factors
-        # so later compositions stay finite, and report the budget as
-        # exhausted at this step count.  Only the factor this step changed
-        # is tested: the other one passed when it last changed.
-        new = gh[steps % 2] @ inc
-        if not np.linalg.norm(new) < _FACTOR_CAP:
-            status = ERROR_BUDGET
-            break
-        gh[steps % 2] = new
-        steps += 1
-    try:
-        pair = finish(gh[0], gh[1] / math.sqrt(s))
-    except NotInvertible:  # singular to working precision: return the start
-        pair = finish(np.eye(K.shape[1]), np.eye(K.shape[2]) / math.sqrt(s))
-        if status != ERROR_NOT_PD:
-            status = ERROR_BUDGET
-    return _result(config, M, trace, pair, status, steps,
-                   tuple(s * d for d in ds_list),
-                   None if min_eig is None else s * min_eig)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _certified(T, M, res):
-    """res, or ERROR_BUDGET for a SUCCESS whose pair misses the threshold.
-
-    The loop's ds is that of the iterated stack; once the factors are
-    ill-conditioned, g^dag T h formed from the returned pair no longer
-    reproduces it.  So the pair's ds is recomputed once, on the instance
-    (T, M) as given, by the loop's own formula; an overflow fails.
-    """
-    if res.status != SUCCESS:
-        return res
-    K = res.pair.g.conj().T @ T.kraus @ res.pair.h
-    ds = relmetrics.ds_from_marginals(*cpmap._stacked_marginals(K, M.p, M.q), M)
-    if ds <= res.threshold * (1 + 1e-6):
-        return res
-    return replace(res, status=ERROR_BUDGET)
-
-
-def triangular_scale(T, M, config):
-    """Deterministic alternating scaling for nonsingular target spectra."""
-    _check_instance(T, M)
-    if np.any(M.p <= 0) or np.any(M.q <= 0):
-        raise ValueError(
-            "triangular_scale needs strictly positive spectra; "
-            "project to the support (or call general_scale) first"
-        )
-    return _certified(T, M, _alternate(
-        T.kraus, M, config, *_resolve_budget(T, M, config, "triangular")))
-
-
 def _block_gaussian(rng, slices, dim):
     out = np.zeros((dim, dim), dtype=np.complex128)
     for s in slices:
@@ -387,6 +286,116 @@ def _comfortably_invertible(mat):
     return sv[-1] > 1e-10 * max(1.0, sv[0])
 
 
+def _solve(T, M, config, mode):
+    """The alternating iteration on (T, M) from the start `mode` names.
+
+    The start (g0, h0) is the identity for "triangular" and a Gaussian
+    block-diagonal pair drawn from config.seed for "general".  The loop
+    runs on the support-restricted Kraus stack g0^dag T h0 in normalized
+    units, recording each step in the result's CapacityTrace; the last
+    iterate (g, h) is returned as (g0 g, h0 h), or as the start when that
+    pair is numerically singular, lifted to the full spaces.
+    """
+    _check_instance(T, M)
+    Tr, Mr, emb = project_to_support(T, M)
+    budget, trace = _resolve_budget(Tr, Mr, config, mode)
+    threshold = ds_threshold(config.epsilon, M)
+    Mhat, s = Mr.normalized()
+    thresh = ds_threshold(config.epsilon, Mhat)
+    # The roundoff floor of ds: once each of the m^2 + n^2 marginal entries
+    # is off by about one unit roundoff, ds (weights at most 1) stays below.
+    floor = _UNIT_ROUNDOFF_SQ * (Mr.m + Mr.n) ** 2
+    K = Tr.kraus
+    gh = [np.eye(d, dtype=np.complex128) for d in (Mr.m, Mr.n)]
+    g0, h0 = gh  # the identity start; the loop rebinds the entries of gh
+    ds_list = []
+    steps = 0
+    min_eig = None
+    # Overflow is handled, not warned about: non-finite marginals and
+    # diverging factors both end the run with ERROR_BUDGET.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "general":
+            rng = np.random.default_rng(config.seed)
+            g0 = _block_gaussian(rng, Mr.q_slices(), Mr.m)
+            h0 = _block_gaussian(rng, Mr.p_slices(), Mr.n)
+            if not (_comfortably_invertible(g0)
+                    and _comfortably_invertible(h0)):
+                return ScalingResult(ScalingPair(np.eye(M.m), np.eye(M.n)),
+                                     ERROR_SINGULAR_INIT, 0, (), threshold,
+                                     config.epsilon, trace)
+            # The start is comfortably invertible, so this is the product
+            # cpmap.scale forms, unvalidated: overflow ends the loop at its
+            # first ds.
+            K = g0.conj().T @ K @ h0
+        primal, dual = cpmap._stacked_marginals(K, Mhat.p, Mhat.q)
+        while True:
+            ds_list.append(relmetrics.ds_from_marginals(primal, dual, Mhat))
+            if ds_list[-1] <= thresh:
+                status = SUCCESS
+                break
+            # Non-finite marginals mean the Kraus updates overflowed, and a
+            # step whose ds sits at its roundoff floor (above the threshold,
+            # or the run would have succeeded) without falling below both of
+            # the two before it shows the iteration has stopped approaching
+            # the threshold (a 2-cycle at the floor included); either way no
+            # further progress is possible, so the budget counts as exhausted.
+            if (steps >= budget or not math.isfinite(ds_list[-1])
+                    or steps and min(ds_list[-3:-1]) <= ds_list[-1] <= floor):
+                status = ERROR_BUDGET
+                break
+            try:
+                inc, K, (primal, dual), log_factor, upper = _alternating_step(
+                    K, primal, dual, Mhat, steps)
+            except NotPositiveDefinite as err:
+                status = ERROR_NOT_PD
+                min_eig = s * err.min_eigenvalue
+                break
+            trace.append(log_factor, upper)
+            # On an infeasible instance the accumulated factors diverge (even
+            # while the iterated marginals stay bounded); stop once they
+            # leave the comfortably representable range, keeping the current
+            # factors so later compositions stay finite, and report the
+            # budget as exhausted at this step count.  Only the factor this
+            # step changed is tested: the other one passed when it last
+            # changed.
+            new = gh[steps % 2] @ inc
+            if not np.linalg.norm(new) < _FACTOR_CAP:
+                status = ERROR_BUDGET
+                break
+            gh[steps % 2] = new
+            steps += 1
+        try:
+            pair = ScalingPair(g0 @ gh[0], h0 @ (gh[1] / math.sqrt(s)))
+        except NotInvertible:  # singular to working precision: the start
+            pair = ScalingPair(g0, h0 @ (np.eye(Mr.n) / math.sqrt(s)))
+            if status != ERROR_NOT_PD:
+                status = ERROR_BUDGET
+        if not emb.full:
+            pair = lift_pair(pair, emb)
+        # The loop's ds is that of the iterated stack; once the factors are
+        # ill-conditioned, g^dag T h formed from the returned pair no longer
+        # reproduces it.  So a SUCCESS recomputes the pair's ds once, on
+        # (T, M) as given, by the loop's own formula; an overflow fails.
+        if status == SUCCESS:
+            K = pair.g.conj().T @ T.kraus @ pair.h
+            ds = relmetrics.ds_from_marginals(
+                *cpmap._stacked_marginals(K, M.p, M.q), M)
+            if not ds <= threshold * (1 + 1e-6):
+                status = ERROR_BUDGET
+    return ScalingResult(pair, status, steps, tuple(s * d for d in ds_list),
+                         threshold, config.epsilon, trace, min_eig)
+
+
+def triangular_scale(T, M, config):
+    """Deterministic alternating scaling for nonsingular target spectra."""
+    if np.any(M.p <= 0) or np.any(M.q <= 0):
+        raise ValueError(
+            "triangular_scale needs strictly positive spectra; "
+            "project to the support (or call general_scale) first"
+        )
+    return _solve(T, M, config, "triangular")
+
+
 def general_scale(T, M, config):
     """Randomized scaling for arbitrary (possibly singular) target spectra.
 
@@ -399,22 +408,4 @@ def general_scale(T, M, config):
     scaling, so a rank-deficient balance target is evidence against
     feasibility, not bad luck.
     """
-    _check_instance(T, M)
-    Tr, Mr, emb = project_to_support(T, M)
-    budget, trace = _resolve_budget(Tr, Mr, config, "general")
-    rng = np.random.default_rng(config.seed)
-    g0 = _block_gaussian(rng, Mr.q_slices(), Mr.m)
-    h0 = _block_gaussian(rng, Mr.p_slices(), Mr.n)
-    if not (_comfortably_invertible(g0) and _comfortably_invertible(h0)):
-        return _result(config, M, trace,
-                       ScalingPair(np.eye(M.m), np.eye(M.n)), ERROR_SINGULAR_INIT)
-
-    def finish(g, h):
-        pair = ScalingPair(g0 @ g, h0 @ h)
-        return pair if emb.full else lift_pair(pair, emb)
-
-    # _comfortably_invertible has checked (g0, h0); this is the product
-    # cpmap.scale forms, unvalidated: overflow ends the loop at its first ds.
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = g0.conj().T @ Tr.kraus @ h0
-    return _certified(T, M, _alternate(K, Mr, config, budget, trace, finish))
+    return _solve(T, M, config, "general")

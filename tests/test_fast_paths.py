@@ -13,8 +13,10 @@ write in one go, the converted-pair errors (helpers.converted_errors)
 that the lift's deleted off-support fill search compared, the
 subset enumeration of polymatroid_membership that schur_horn's
 majorization test stands in for, eigvalsh for the Cholesky test of
-positive definiteness, and a loop recomputing both marginals every step
-(helpers.alternate_literal) for the step that computes one.
+positive definiteness, a loop recomputing both marginals every step
+(helpers.alternate_literal) for the step that computes one, and the
+triangular solve of the precomposed map g0^dag T h0 for general_scale
+on a full-support instance (exact equality).
 """
 
 import math
@@ -224,6 +226,29 @@ def test_one_product_loop_matches_literal_loop(p_blocks, q_blocks, r, eps,
     assert (res.status, res.iterations, res.min_eigenvalue) == (status, steps,
                                                                min_eig)
     npt.assert_allclose(res.ds_trace, ds, rtol=1e-12, atol=1e-26)
+
+
+@given(flag_structures, flag_structures, st.integers(1, 4),
+       st.sampled_from([1e-2, 1e-4, 1e-6]), st.integers(0, 60), seeds, seeds)
+def test_general_solve_is_the_triangular_solve_from_its_start(
+        p_blocks, q_blocks, r, eps, budget, seed, solver_seed):
+    # Both solvers run one body from two starts: on a full-support instance
+    # general_scale is triangular_scale on the precomposed map g0^dag T h0,
+    # step for step and bit for bit, and composes its pair with (g0, h0).
+    rng = np.random.default_rng(seed)
+    M = random_blocked_spec(rng, p_blocks, q_blocks)
+    M = MarginalSpec(M.p, M.q * (M.p.sum() / M.q.sum()), p_blocks, q_blocks)
+    T = random_cpmap(rng, M.m, M.n, r)
+    config = SolverConfig(eps, max_iterations=budget, seed=solver_seed)
+    start = np.random.default_rng(solver_seed)
+    g0 = scaler._block_gaussian(start, M.q_slices(), M.m)
+    h0 = scaler._block_gaussian(start, M.p_slices(), M.n)
+    res = general_scale(T, M, config)
+    tri = triangular_scale(CPMap(g0.conj().T @ T.kraus @ h0), M, config)
+    assert ((res.status, res.iterations, res.ds_trace, res.min_eigenvalue)
+            == (tri.status, tri.iterations, tri.ds_trace, tri.min_eigenvalue))
+    assert res.pair.g.tobytes() == (g0 @ tri.pair.g).tobytes()
+    assert res.pair.h.tobytes() == (h0 @ tri.pair.h).tobytes()
 
 
 @given(flag_structures, flag_structures, st.integers(-30, 30), seeds)

@@ -397,32 +397,46 @@ def _positive_instance(rng):
             MarginalSpec(spectrum(rng, 3), spectrum(rng, 3)))
 
 
-@pytest.mark.parametrize("instance, status, fallback", [
-    (_positive_instance, SUCCESS, ERROR_BUDGET),
-    (_not_pd_instance, ERROR_NOT_PD, ERROR_NOT_PD),
+@pytest.mark.parametrize("solve, instance, status, fallback", [
+    (triangular_scale, _positive_instance, SUCCESS, ERROR_BUDGET),
+    (triangular_scale, _not_pd_instance, ERROR_NOT_PD, ERROR_NOT_PD),
+    (general_scale, _zero_tail_instance, SUCCESS, ERROR_BUDGET),
+    (general_scale, _not_pd_instance, ERROR_NOT_PD, ERROR_NOT_PD),
 ])
-def test_unformable_last_pair_falls_back_to_the_start(instance, status,
+def test_unformable_last_pair_falls_back_to_the_start(monkeypatch, solve,
+                                                      instance, status,
                                                       fallback):
     # A last iterate too ill-conditioned to form a pair returns the starting
-    # pair; only the status that rests on the pair changes.
+    # pair, lifted; only the status that rests on the pair changes.
     T, M = instance(np.random.default_rng(5))
-    config = SolverConfig(epsilon=1e-4)
-    plain = triangular_scale(T, M, config)
+    config = SolverConfig(epsilon=1e-4, seed=3)
+    plain = solve(T, M, config)
     assert plain.status == status
+    # the start: the identity, or the Gaussian pair drawn from the seed
+    _, Mr, emb = project_to_support(T, M)
+    g0, h0 = np.eye(Mr.m), np.eye(Mr.n)
+    if solve is general_scale:
+        rng = np.random.default_rng(config.seed)
+        g0 = scaler._block_gaussian(rng, Mr.q_slices(), Mr.m)
+        h0 = scaler._block_gaussian(rng, Mr.p_slices(), Mr.n)
+    start = lift_pair(ScalingPair(g0, h0 / np.sqrt(M.p.sum())), emb)
+    refused = []
 
-    def finish(g, h):
-        if not np.array_equal(g, np.eye(M.m)):
-            raise NotInvertible("g is numerically singular")
-        return ScalingPair(g, h)
+    class UnformableUnlessStart(ScalingPair):
+        def __init__(self, g, h):
+            if not (np.array_equal(g, g0) or np.array_equal(g, start.g)):
+                refused.append(g)
+                raise NotInvertible("g is numerically singular")
+            super().__init__(g, h)
 
-    res = scaler._alternate(T.kraus, M, config,
-                            *scaler._resolve_budget(T, M, config, "triangular"),
-                            finish)
+    monkeypatch.setattr(scaler, "ScalingPair", UnformableUnlessStart)
+    res = solve(T, M, config)
+    assert len(refused) == 1
     assert res.status == fallback
     assert (res.iterations, res.ds_trace) == (plain.iterations, plain.ds_trace)
     assert res.min_eigenvalue == plain.min_eigenvalue
-    npt.assert_array_equal(res.pair.g, np.eye(M.m))
-    npt.assert_allclose(res.pair.h, np.eye(M.n) / np.sqrt(M.p.sum()), rtol=1e-15)
+    npt.assert_array_equal(res.pair.g, start.g)
+    npt.assert_allclose(res.pair.h, start.h, rtol=1e-15)
 
 
 @pytest.mark.parametrize("solve, instance, epsilon, solve_calls", [
@@ -537,3 +551,14 @@ def test_threshold_below_the_roundoff_floor_stops_there(seed):
     assert ds[-2] <= ds[-1] <= 16 * 2.0**-106
     # at eps = 1e-7 the same map succeeds, far above the floor
     assert triangular_scale(T, M, SolverConfig(1e-7)).success
+
+
+def test_two_cycle_at_the_roundoff_floor_stops_there():
+    # p_min = 1e-300 puts the normalized threshold (1e-304) far below the
+    # roundoff floor; ds then alternates between about u^2 and 20 u^2,
+    # leaving the floor every other step, and must still stop there
+    T = CPMap([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    M = MarginalSpec([1.0, 1e-300], [0.6, 0.4])
+    res = general_scale(T, M, SolverConfig(1e-2, max_iterations=1000))
+    assert res.status == ERROR_BUDGET and res.iterations <= 20
+    assert min(res.ds_trace[-3:-1]) <= res.ds_trace[-1] <= 16 * 2.0**-106
