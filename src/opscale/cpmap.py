@@ -210,16 +210,6 @@ class MarginalSpec:
         return self.q.size
 
     @property
-    def P(self):
-        """diag(p) as a dense matrix."""
-        return np.diag(self.p).astype(np.complex128)
-
-    @property
-    def Q(self):
-        """diag(q) as a dense matrix."""
-        return np.diag(self.q).astype(np.complex128)
-
-    @property
     def trace_gap(self):
         """|sum(p) - sum(q)|; solvers require this to vanish."""
         return abs(float(self.p.sum() - self.q.sum()))

@@ -35,12 +35,22 @@ one step to the next and computes one of them from the Kraus stack: the
 side it balances becomes inc^dag target inc, the product it forms anyway
 for the upper estimate, which differs from the recomputed marginal only
 by roundoff.
+
+bit_complexity is the integer size parameter b driving the worst-case
+iteration budgets and the capacity lower bound exp(-10 b): the total bit
+length (numerator plus denominator) of all Kraus and spectrum entries,
+each snapped to the closest rational with denominator at most 2^53 (so
+0.1 counts as 1/10, 5 bits), plus log of the instance dimensions.  One
+numpy kernel computes it over chunks of nonzero entries; only entries
+too small for int64 arithmetic take the Fraction path.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +68,7 @@ __all__ = [
     "ds_threshold",
     "log_capacity_change_factor",
     "capacity_change_factor",
+    "bit_complexity",
     "log_capacity_lower_bound",
     "capacity_lower_bound",
     "shannon_entropy",
@@ -209,6 +220,116 @@ def capacity_change_factor(pair, M):
     return math.exp(log_capacity_change_factor(pair, M))
 
 
+# Denominator cap of the rational snap (double mantissa).
+_MAX_DEN = 2**53
+
+# Entries per kernel call: bounds the kernel's temporaries on large maps.
+_CHUNK = 1 << 12
+
+
+def _fraction_bits(x):
+    f = Fraction(float(x)).limit_denominator(_MAX_DEN)
+    return abs(f.numerator).bit_length() + f.denominator.bit_length()
+
+
+def _bitlen(v):
+    """Bit lengths of nonnegative int64 values up to 2^53 (exact as floats)."""
+    return np.frexp(v.astype(np.float64))[1].astype(np.int64)
+
+
+def _closest_bits(p0, q0, p1, q1, d, den):
+    """Bits of the closer of (p0 + j p1)/(q0 + j q1), j maximal, and p1/q1.
+
+    Ties go to p1/q1: 2 d (q0 + j q1) <= den, as Fraction decides it.
+    """
+    j = (_MAX_DEN - q0) // q1
+    qb = q0 + j * q1
+    near = d <= den // (2 * qb)
+    num = np.where(near, p1, p0 + j * p1)
+    return int(np.sum(_bitlen(np.abs(num)) + _bitlen(np.where(near, q1, qb))))
+
+
+def _snapped_bits(n, k):
+    """Total bits of limit_denominator(2^53) over n / 2^k, for 53 < k <= 62.
+
+    Runs Fraction.limit_denominator's continued fraction on all entries
+    at once, dropping each entry once its next denominator would pass
+    2^53; every intermediate stays below 2^62, so int64 is exact.
+    """
+    den = np.left_shift(np.int64(1), k)
+    # The first step, a = floor(n / den), never passes the cap.
+    a = n // den
+    p0, q0, p1, q1 = np.ones_like(n), np.zeros_like(n), a, np.ones_like(n)
+    n, d = den, n - a * den
+    total = 0
+    while n.size:
+        a = n // d
+        # q0 + a*q1 > 2^53, tested without forming a*q1
+        stop = a > (_MAX_DEN - q0) // q1
+        if stop.any():
+            total += _closest_bits(p0[stop], q0[stop], p1[stop], q1[stop],
+                                   d[stop], den[stop])
+            go = ~stop
+            n, d, den, a, p0, q0, p1, q1 = (
+                v[go] for v in (n, d, den, a, p0, q0, p1, q1))
+        p0, p1 = p1, p0 + a * p1
+        q0, q1 = q1, q0 + a * q1
+        n, d = d, n - a * d
+    return total
+
+
+def _nonzero_bits(x):
+    """Sum of _fraction_bits over the finite nonzero float64 array x."""
+    # |x| = (mant >> t) / 2^k with mant >> t odd, so the fraction is reduced
+    frac, e = np.frexp(np.abs(x))
+    mant = (frac * 2.0**53).astype(np.int64)
+    t = _bitlen(mant & -mant) - 1
+    k = 53 - e.astype(np.int64) - t
+    exact = k <= 53  # denominator 2^max(k, 0) needs no snapping
+    # bitlen(N) = 53 - t, plus |k| bits on one side and 1 for the other
+    total = int(np.sum(53 - t[exact] + np.abs(k[exact]) + 1))
+    mid = ~exact & (k <= 62)
+    if mid.any():
+        odd = np.copysign(mant[mid] >> t[mid], x[mid]).astype(np.int64)
+        total += _snapped_bits(odd, k[mid])
+    total += sum(map(_fraction_bits, x[k > 62]))  # past int64 range
+    return total
+
+
+def _nonzero_chunks(parts):
+    """The nonzero entries of the 1-d arrays `parts`, about _CHUNK at a time."""
+    group, size = [], 0
+    for x in parts:
+        for i in range(0, x.size, _CHUNK):
+            piece = x[i:i + _CHUNK]
+            group.append(piece[piece != 0])
+            size += group[-1].size
+            if size >= _CHUNK:
+                yield np.concatenate(group)
+                group, size = [], 0
+    if size:
+        yield np.concatenate(group)
+
+
+def bit_complexity(T, M):
+    """Total bit size b >= 1 of the instance data.
+
+    Sums the bit lengths of numerator and denominator of the real and
+    imaginary parts of every Kraus entry and of every spectrum entry,
+    each snapped to the closest rational with denominator at most 2^53
+    (Fraction.limit_denominator), plus ceil(log2 r + log2 m + log2 n)
+    for the dimensions.  A zero entry counts one bit, 0.1 counts five.
+    """
+    parts = [T.kraus.ravel().view(np.float64), M.p, M.q]
+    total = nonzero = 0
+    for x in _nonzero_chunks(parts):
+        total += _nonzero_bits(x)
+        nonzero += x.size
+    total += sum(x.size for x in parts) - nonzero  # a zero snaps to 0/1
+    total += math.ceil(math.log2(T.r) + math.log2(T.m) + math.log2(T.n))
+    return max(1, int(total))
+
+
 def log_capacity_lower_bound(b, m):
     """(log general bound, log post-first-step bound) = (-10 b, -14 b m)."""
     b = float(b)
@@ -238,11 +359,11 @@ class CapacityTrace:
     balanced (T(P) against q for even j, the dual T*(Q) against p for odd
     j): 0 up to roundoff, the computable face of cap <= 1.
 
-    log_lower_bound is the log capacity lower bound -10 b of the solved
-    instance (b its bit complexity), or the value given, -inf by default.
-    A trace built with instance=(T, M) computes -10 b for that instance on
-    the first read of log_lower_bound, keeps it and drops its reference
-    to (T, M); a caller that never reads the bound never pays for b.
+    log_lower_bound is -10 b with b = bit_complexity(T, M) of the solved
+    instance, or the value given, -inf by default.  A trace built with
+    instance=(T, M) computes -10 b for that instance on the first read of
+    log_lower_bound, keeps it and drops its reference to (T, M); a caller
+    that never reads the bound never pays for b.
     """
 
     def __init__(self, log_lower_bound=-math.inf, *, instance=None):
@@ -254,10 +375,8 @@ class CapacityTrace:
     @property
     def log_lower_bound(self):
         if self._instance is not None:
-            from . import feasibility  # deferred: feasibility uses us
-
             T, M = self._instance
-            b = feasibility.bit_complexity(T, M)
+            b = bit_complexity(T, M)
             self._log_lower_bound = log_capacity_lower_bound(b, T.m)[0]
             self._instance = None
         return self._log_lower_bound
@@ -330,8 +449,10 @@ def estimate_capacity(T, M, budget=200):
     target stops being positive definite or the estimate falls to
     log 1e-300 (capacity vanishing on the PSD boundary).
 
-    Requires strictly positive spectra.
+    Requires strictly positive spectra and a nonnegative integer budget.
     """
+    if not (isinstance(budget, numbers.Integral) and budget >= 0):
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
     K = T.kraus

@@ -39,6 +39,7 @@ CapacityTrace is computed on first read.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -98,8 +99,11 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie strictly between 0 and 1")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        count = self.max_iterations
+        if count is not None and not (isinstance(count, numbers.Integral)
+                                      and count >= 0):
+            raise ValueError(
+                f"max_iterations must be a nonnegative integer, got {count!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +269,7 @@ def _resolve_budget(T, M, config, mode):
     budget = iteration_budget(2 * T.r * T.m * T.n + T.m + T.n, *args)
     if budget == hard_cap():
         return budget, CapacityTrace(instance=(T, M))
-    from .feasibility import bit_complexity  # deferred: feasibility uses us
-
-    b = bit_complexity(T, M)
+    b = relmetrics.bit_complexity(T, M)
     lower = relmetrics.log_capacity_lower_bound(b, T.m)[0]
     return iteration_budget(b, *args), CapacityTrace(log_lower_bound=lower)
 

@@ -234,5 +234,17 @@ class TestEstimateCapacity:
         long = estimate_capacity(T, M, budget=200)
         assert long.value <= short.value + 1e-12
 
+    @pytest.mark.parametrize("budget", [-1, 2.5, float("nan"), 2.0])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        T = CPMap([np.eye(2)])
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            estimate_capacity(T, MarginalSpec(np.ones(2), np.ones(2)), budget=budget)
+
+    def test_numpy_integer_budget_counts_its_steps(self):
+        est = estimate_capacity(CPMap([np.eye(2)]),
+                                MarginalSpec(np.ones(2), np.ones(2)),
+                                budget=np.int64(3))
+        assert est.steps == 3 and type(est.steps) is int
+
     def test_deltas_trailing_entry(self):
         npt.assert_allclose(deltas([2.0, 1.0, 0.5]), [1.0, 0.5, 0.5])

@@ -53,6 +53,16 @@ class TestConfigAndBudget:
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.1, max_iterations=-1)
 
+    @pytest.mark.parametrize("count", [float("nan"), 2.5, 3.0, "3"])
+    def test_max_iterations_must_be_a_nonnegative_integer(self, count):
+        # a nan budget would slip past the hard cap: min(nan, cap) is nan
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            SolverConfig(epsilon=0.1, max_iterations=count)
+
+    def test_numpy_integer_max_iterations_is_accepted(self):
+        config = SolverConfig(epsilon=0.1, max_iterations=np.int64(3))
+        assert config.max_iterations == 3
+
     def test_triangular_budget_pin(self):
         # 100 * 10 * 3 / (0.1 + 0.1)
         assert iteration_budget(10, 3, 0.1, 0.2, 0.2) == 15000
@@ -460,7 +470,7 @@ def test_bit_complexity_runs_only_when_needed(monkeypatch, solve, instance,
                                else "triangular") == hard_cap()
     assert clamped == (solve_calls == 0)
     counts = {"bit_complexity": 0}
-    _count_calls(monkeypatch, feasibility, "bit_complexity", counts)
+    _count_calls(monkeypatch, relmetrics, "bit_complexity", counts)
     res = solve(T, M, SolverConfig(epsilon=epsilon, seed=3))
     assert counts["bit_complexity"] == solve_calls
     # the first read computes -10 b of the solved (restricted) instance
@@ -472,7 +482,7 @@ def test_bit_complexity_runs_only_when_needed(monkeypatch, solve, instance,
 
 def test_set_budget_never_computes_bit_complexity(monkeypatch):
     counts = {"bit_complexity": 0}
-    _count_calls(monkeypatch, feasibility, "bit_complexity", counts)
+    _count_calls(monkeypatch, relmetrics, "bit_complexity", counts)
     T, M = _zero_tail_instance(np.random.default_rng(5))
     res = general_scale(T, M, SolverConfig(epsilon=1e-4, max_iterations=5))
     assert res.capacity_trace.log_lower_bound == -np.inf
