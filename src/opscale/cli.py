@@ -267,6 +267,7 @@ def _scale(inst, epsilon, **options):
 
 
 def _check(inst, epsilon, **options):
+    SolverConfig(epsilon)  # rejects a bad accuracy; the verdict picks its own
     T, M = inst["map"], inst["spec"]
     verdict = decide_scalable(T, M, **options)
     return _Solved(verdict.result, T, M, verdict.verdict), {}
@@ -416,7 +417,9 @@ def build_parser():
         p.add_argument("instance",
                        help="path to a JSON instance file ('-' for stdin)")
         p.add_argument("--epsilon", type=float, default=1e-2,
-                       help="target accuracy (default 1e-2)")
+                       help="target accuracy in (0, 1) (default 1e-2)"
+                       + ("; checked, but the verdict picks its own"
+                          if name == "check" else ""))
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized steps (default 0)")
         p.add_argument("--max-iters", type=int, default=None,

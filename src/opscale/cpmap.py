@@ -84,8 +84,8 @@ class CPMap:
     ----------
     kraus : (r, m, n) array_like, or a sequence of r (m, n) matrices
         The Kraus operators, r >= 1, stored as one (r, m, n) stack: a
-        read-only, C-contiguous complex128 array.  Iterating, indexing
-        and len() see the operators one by one.
+        read-only, C-contiguous complex128 array.  A CPMap itself has
+        no len(), indexing or iteration; use T.kraus for the operators.
     """
 
     kraus: np.ndarray

@@ -28,13 +28,13 @@ outside the blocks are never read.
 Capacity cap(T, P, Q) = inf_h det(Q, T(h P h^dag)) / det(P, h^dag h) over
 upper-triangular h.  Each solver step multiplies the capacity by an
 easily computed factor (det of the incremental balance factor), which the
-solvers record in a CapacityTrace.  Both solvers and estimate_capacity
-share one alternating step; estimate_capacity runs it standalone to
-produce an upper estimate of cap.  The step carries both marginals from
-one step to the next and computes one of them from the Kraus stack: the
-side it balances becomes inc^dag target inc, the product it forms anyway
-for the upper estimate, which differs from the recomputed marginal only
-by roundoff.
+solvers record in a CapacityTrace.  One loop, the generator _iterate,
+runs the alternating iteration for two clients: the solve body
+(scaler._solve) and estimate_capacity, which reads an upper estimate of
+cap off it.  It carries both marginals from one step to the next and
+computes one of them from the Kraus stack: the side a step balances
+becomes inc^dag target inc, the product it forms anyway for the upper
+estimate, which differs from the recomputed marginal only by roundoff.
 
 bit_complexity is the integer size parameter b driving the worst-case
 iteration budgets and the capacity lower bound exp(-10 b): the total bit
@@ -47,6 +47,7 @@ too small for int64 arithmetic take the Fraction path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -411,37 +412,41 @@ def _log_det(a, X, blocks):
     return 2.0 * float(np.dot(a, np.log(L.diagonal().real)))
 
 
-def _alternating_step(K, primal, dual, M, j):
-    """Step j of the alternating iteration on the (r, m, n) Kraus stack K.
+def _iterate(K, M):
+    """The alternating iteration on the (r, m, n) Kraus stack K, lazily.
 
-    Even steps balance T(P) against q, odd steps T*(Q) against p.  The
-    balanced marginal inc^dag target inc is the new marginal of that
-    side, so only the other one is computed from the rescaled stack.
-    Returns (balance factor, rescaled K, its (primal, dual) marginals,
+    Yields (primal, dual, step) before each step j = 0, 1, ...: the
+    marginals T_j(P), T_j*(Q) and the step just taken, (balance factor,
     log capacity-change factor -log det(a, target), log det(a, balanced
-    target) ~ 0); raises NotPositiveDefinite when the target cannot be
-    balanced.
+    target) ~ 0), None at j = 0.  Even steps balance T(P) against q, odd
+    steps T*(Q) against p; inc^dag target inc becomes the balanced side's
+    marginal, so only the other is computed from the rescaled stack.  A
+    step runs only on next() and raises NotPositiveDefinite when its
+    target cannot be balanced.
     """
-    output = j % 2 == 0
-    target, a, blocks = ((primal, M.q, M.q_blocks) if output
-                         else (dual, M.p, M.p_blocks))
-    inc = cpmap.balance_factor(target, blocks)
-    log_factor = 2.0 * float(np.dot(a, np.log(inc.diagonal().real)))
-    balanced = inc.conj().T @ target @ inc
-    upper = _log_det(a, balanced, blocks)
-    if output:
-        K = inc.conj().T @ K
-        marginals = balanced, cpmap._input_marginal(K, M.q)
-    else:
-        K = (K.reshape(-1, K.shape[2]) @ inc).reshape(K.shape)
-        marginals = cpmap._output_marginal(K, M.p), balanced
-    return inc, K, marginals, log_factor, upper
+    primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
+    step = None
+    for j in itertools.count():
+        yield primal, dual, step
+        output = j % 2 == 0
+        target, a, blocks = ((primal, M.q, M.q_blocks) if output
+                             else (dual, M.p, M.p_blocks))
+        inc = cpmap.balance_factor(target, blocks)
+        log_factor = 2.0 * float(np.dot(a, np.log(inc.diagonal().real)))
+        balanced = inc.conj().T @ target @ inc
+        step = inc, log_factor, _log_det(a, balanced, blocks)
+        if output:
+            K = inc.conj().T @ K
+            primal, dual = balanced, cpmap._input_marginal(K, M.q)
+        else:
+            K = (K.reshape(-1, K.shape[2]) @ inc).reshape(K.shape)
+            primal, dual = cpmap._output_marginal(K, M.p), balanced
 
 
 def estimate_capacity(T, M, budget=200):
     """Upper estimate of cap(T, P, Q) via the alternating iteration itself.
 
-    Runs the solvers' alternating step and tracks est_j = v_j - cum_j,
+    Runs the solvers' alternating iteration and tracks est_j = v_j - cum_j,
     where v_j = log det(Q, T_j(P)) is the capacity objective of the
     current scaled map at h = I and cum_j the summed log change factors;
     cap(T) <= exp(est_j) for every j, with equality in the limit when the
@@ -455,23 +460,19 @@ def estimate_capacity(T, M, budget=200):
         raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
-    K = T.kraus
-    primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
-    cum = 0.0
-    best = math.inf
+    cum, best = 0.0, math.inf
+    iterates = itertools.islice(_iterate(T.kraus, M), int(budget) + 1)
     # Overflowing Kraus updates are handled: the estimate then diverges.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(int(budget) + 1):
-            best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
-            if best <= _MINOR_FLOOR_LOG:
-                return CapacityEstimate(0.0, -math.inf, True, j)
-            if j == budget:
-                break
-            try:
-                _, K, (primal, dual), log_factor, _ = _alternating_step(
-                    K, primal, dual, M, j)
-            except NotPositiveDefinite:
-                return CapacityEstimate(0.0, -math.inf, True, j)
-            cum += log_factor
-    value = math.exp(best) if best > _MINOR_FLOOR_LOG else 0.0
-    return CapacityEstimate(value, best, False, int(budget))
+        try:
+            for j, (primal, _, step) in enumerate(iterates):
+                if step is not None:
+                    cum += step[1]
+                best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
+                if best <= _MINOR_FLOOR_LOG:
+                    break
+        except NotPositiveDefinite:
+            best = -math.inf
+    if best <= _MINOR_FLOOR_LOG:
+        return CapacityEstimate(0.0, -math.inf, True, j)
+    return CapacityEstimate(math.exp(best), best, False, int(budget))

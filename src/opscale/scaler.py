@@ -9,14 +9,15 @@ normalization (h picks up a factor 1/sqrt(s)), while reported ds values
 are converted back to original units, where the success threshold
 transfers exactly (ds is linear in s).
 
-Both solvers are one solve body run from two starts (g0, h0).  At each
-step the currently unbalanced marginal is pushed to the identity by a
-(block) upper-triangular balance factor, so the flag structure declared
-by the marginal spec is preserved throughout.  triangular_scale starts
-from the identity and requires strictly positive spectra; general_scale
-handles singular targets and arbitrary instances from a random
-block-diagonal Gaussian pair, drawn once (a numerically singular draw
-ends the run).  A solve restricts the instance to the support of the
+Both solvers are one solve body run from two starts (g0, h0).  It
+drives relmetrics._iterate, the one alternating loop (estimate_capacity
+is its other client), and keeps every stop rule.  Each step pushes the
+unbalanced marginal to the identity by a (block) upper-triangular
+balance factor, preserving the flag structure of the marginal spec.
+triangular_scale starts from the identity and requires strictly positive
+spectra; general_scale handles singular targets and arbitrary instances
+from a random block-diagonal Gaussian pair, drawn once (a numerically
+singular draw ends the run).  A solve restricts the instance to the support of the
 spectra (a no-op on positive spectra), runs the loop on the raw
 (r, m, n) Kraus stack g0^dag T h0, composes the last iterate with the
 start, lifts it back with the identity off the support, and validates
@@ -48,7 +49,7 @@ import numpy as np
 from . import cpmap, relmetrics
 from .cpmap import CPMap, MarginalSpec, ScalingPair
 from .exceptions import AllZeroSpectrum, NotInvertible, NotPositiveDefinite
-from .relmetrics import CapacityTrace, _alternating_step, ds_threshold
+from .relmetrics import CapacityTrace, _iterate, ds_threshold
 
 __all__ = [
     "SUCCESS",
@@ -218,8 +219,13 @@ def iteration_budget(b, m, epsilon, p_min, q_min, mode="triangular", log_cap1=No
     ceil(100 b m / (min(eps, p_min) + min(eps, q_min))) for the
     triangular solver and ceil(400 b m / (min(p_min, q_min) eps^2)) for
     the randomized general one.  Spectra are assumed trace-normalized.
-    The result does not decrease as b grows.
+    The result does not decrease as b grows.  b must be at least 1 and
+    log_cap1, when given, at most 0 (a balanced map has cap <= 1).
     """
+    if not b >= 1:
+        raise ValueError(f"bit complexity b must be >= 1, got {b!r}")
+    if log_cap1 is not None and not log_cap1 <= 0:
+        raise ValueError(f"log_cap1 must be <= 0, got {log_cap1!r}")
     denom = min(epsilon, p_min) + min(epsilon, q_min)
     if log_cap1 is not None:
         num = -7.0 * log_cap1
@@ -329,43 +335,38 @@ def _solve(T, M, config, mode):
             # cpmap.scale forms, unvalidated: overflow ends the loop at its
             # first ds.
             K = g0.conj().T @ K @ h0
-        primal, dual = cpmap._stacked_marginals(K, Mhat.p, Mhat.q)
-        while True:
-            ds_list.append(relmetrics.ds_from_marginals(primal, dual, Mhat))
-            if ds_list[-1] <= thresh:
-                status = SUCCESS
-                break
-            # Non-finite marginals mean the Kraus updates overflowed, and a
-            # step whose ds sits at its roundoff floor (above the threshold,
-            # or the run would have succeeded) without falling below both of
-            # the two before it shows the iteration has stopped approaching
-            # the threshold (a 2-cycle at the floor included); either way no
-            # further progress is possible, so the budget counts as exhausted.
-            if (steps >= budget or not math.isfinite(ds_list[-1])
-                    or steps and min(ds_list[-3:-1]) <= ds_list[-1] <= floor):
-                status = ERROR_BUDGET
-                break
-            try:
-                inc, K, (primal, dual), log_factor, upper = _alternating_step(
-                    K, primal, dual, Mhat, steps)
-            except NotPositiveDefinite as err:
-                status = ERROR_NOT_PD
-                min_eig = s * err.min_eigenvalue
-                break
-            trace.append(log_factor, upper)
-            # On an infeasible instance the accumulated factors diverge (even
-            # while the iterated marginals stay bounded); stop once they
-            # leave the comfortably representable range, keeping the current
-            # factors so later compositions stay finite, and report the
-            # budget as exhausted at this step count.  Only the factor this
-            # step changed is tested: the other one passed when it last
-            # changed.
-            new = gh[steps % 2] @ inc
-            if not np.linalg.norm(new) < _FACTOR_CAP:
-                status = ERROR_BUDGET
-                break
-            gh[steps % 2] = new
-            steps += 1
+        try:
+            for primal, dual, step in _iterate(K, Mhat):
+                if step is not None:
+                    inc, log_factor, upper = step
+                    trace.append(log_factor, upper)
+                    # Infeasible instances make the accumulated factors
+                    # diverge while the marginals stay bounded: stop once the
+                    # factor this step changed (the other passed when it last
+                    # changed) leaves the representable range, keeping the
+                    # current factors so later compositions stay finite.
+                    new = gh[steps % 2] @ inc
+                    if not np.linalg.norm(new) < _FACTOR_CAP:
+                        status = ERROR_BUDGET
+                        break
+                    gh[steps % 2] = new
+                    steps += 1
+                ds_list.append(relmetrics.ds_from_marginals(primal, dual, Mhat))
+                if ds_list[-1] <= thresh:
+                    status = SUCCESS
+                    break
+                # Non-finite marginals mean the Kraus updates overflowed; a ds
+                # at its roundoff floor, not below both of the two before it,
+                # means the iteration stopped approaching the threshold (a
+                # 2-cycle at the floor included).  Either way no progress is
+                # possible, so the budget counts as exhausted.
+                if (steps >= budget or not math.isfinite(ds_list[-1])
+                        or steps and min(ds_list[-3:-1]) <= ds_list[-1] <= floor):
+                    status = ERROR_BUDGET
+                    break
+        except NotPositiveDefinite as err:
+            status = ERROR_NOT_PD
+            min_eig = s * err.min_eigenvalue
         try:
             pair = ScalingPair(g0 @ gh[0], h0 @ (gh[1] / math.sqrt(s)))
         except NotInvertible:  # singular to working precision: the start

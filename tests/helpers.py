@@ -12,6 +12,7 @@ from opscale import (
     Partition,
     ds_from_marginals,
     ds_threshold,
+    log_relative_det,
     marginals,
 )
 
@@ -228,6 +229,36 @@ def alternate_literal(T, M, epsilon, budget):
             return "ERROR_NOT_PD", j, ds, s * err.min_eigenvalue
         K = inc.conj().T @ K if output else K @ inc
     return "ERROR_BUDGET", budget, ds, None
+
+
+def estimate_capacity_literal(T, M, budget):
+    """estimate_capacity by its definition: (log_value, diverged, steps).
+
+    Recomputes both marginals of the rescaled operators, one operator at a
+    time, at every step, balances by balance_factor_literal, and takes
+    v_j = log det(Q, T_j(P)) and each log change factor -log det(a, target)
+    from log_relative_det.
+    """
+    ops = list(T.kraus)
+    cum, best = 0.0, math.inf
+    for j in range(budget + 1):
+        primal = sum(A @ np.diag(M.p) @ A.conj().T for A in ops)
+        dual = sum(A.conj().T @ np.diag(M.q) @ A for A in ops)
+        best = min(best, log_relative_det(M.q, primal, M.q_blocks) - cum)
+        if best <= math.log(1e-300):
+            return -math.inf, True, j
+        if j == budget:
+            break
+        output = j % 2 == 0
+        target, a, blocks = ((primal, M.q, M.q_blocks) if output
+                             else (dual, M.p, M.p_blocks))
+        try:
+            inc = balance_factor_literal(target, blocks)
+        except NotPositiveDefinite:
+            return -math.inf, True, j
+        cum -= log_relative_det(a, target, blocks)
+        ops = [inc.conj().T @ A if output else A @ inc for A in ops]
+    return best, False, budget
 
 
 def entry_bits_literal(x):

@@ -5,7 +5,6 @@ import pytest
 from helpers import random_complex, random_unitary, ras_scale
 from opscale import (
     AllZeroSpectrum,
-    CPMap,
     DimensionTooLarge,
     ERROR_BUDGET,
     ERROR_NOT_PD,
@@ -14,7 +13,6 @@ from opscale import (
     InfeasibleInstance,
     MatrixScalingInstance,
     ScalingFailure,
-    build_forster_cpmap,
     build_horn_cpmap,
     build_matrix_cpmap,
     forster_scale,

@@ -296,6 +296,29 @@ class TestMainScale:
         out = capsys.readouterr()
         assert out.out == "" and "epsilon" in out.err
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "1", "5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["scale", "check"])
+    def test_cpmap_commands_reject_accuracy_outside_the_unit_interval(
+            self, tmp_path, capsys, command, epsilon):
+        # check picks its own accuracy for the verdict, but a bad one is
+        # still a usage error, as in every other command
+        path = write_instance(tmp_path, TRIANGULAR_CPMAP)
+        assert main([command, path, "--epsilon", epsilon]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "epsilon" in out.err
+
+    def test_check_verdict_does_not_depend_on_the_accuracy(self, tmp_path,
+                                                            capsys):
+        path = write_instance(tmp_path, TRIANGULAR_CPMAP)
+        reports = []
+        for epsilon in ("1e-6", "0.5"):
+            assert main(["check", path, "--epsilon", epsilon]) == 0
+            reports.append(read_report(capsys)[0])
+        for report in reports:
+            del report["wall_time_ms"]
+        assert reports[0] == reports[1]
+        assert reports[0]["verdict"] == "FEASIBLE"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["scale", "check"])
     @pytest.mark.parametrize("kraus, spec", [

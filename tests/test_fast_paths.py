@@ -14,11 +14,14 @@ that the lift's deleted off-support fill search compared, the
 subset enumeration of polymatroid_membership that schur_horn's
 majorization test stands in for, eigvalsh for the Cholesky test of
 positive definiteness, a loop recomputing both marginals every step
-(helpers.alternate_literal) for the step that computes one, and the
+(helpers.alternate_literal) for the step that computes one, the
+capacity estimate by its definition (helpers.estimate_capacity_literal)
+for estimate_capacity's reading of the shared loop, and the
 triangular solve of the precomposed map g0^dag T h0 for general_scale
 on a full-support instance (exact equality).
 """
 
+import itertools
 import math
 import os
 from unittest import mock
@@ -26,7 +29,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from helpers import (
     alternate_literal,
@@ -36,6 +39,7 @@ from helpers import (
     converted_errors,
     ds_literal_blocks,
     ds_masked_literal,
+    estimate_capacity_literal,
     forster_kraus_literal,
     horn_kraus_literal,
     matrix_kraus,
@@ -62,6 +66,7 @@ from opscale import (
     convert_pair,
     ds_from_marginals,
     dual_apply,
+    estimate_capacity,
     general_scale,
     iteration_budget,
     log_relative_det,
@@ -75,7 +80,7 @@ from opscale import (
 from opscale import relmetrics, scaler
 from opscale.apps import _majorizes
 from opscale.cpmap import _block_plan
-from opscale.relmetrics import _alternating_step, _log_det
+from opscale.relmetrics import _iterate, _log_det
 
 block_structures = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
 # Block structures with the all-1x1 ones (matrix scaling) drawn often.
@@ -302,18 +307,50 @@ def test_step_capacity_factors_match_minors(p_blocks, q_blocks, j, seed):
     rng = np.random.default_rng(seed)
     M = random_blocked_spec(rng, p_blocks, q_blocks)
     T = random_cpmap(rng, M.m, M.n, M.m * M.n)
-    primal, dual = marginals(T, M)
-    inc, K, _, log_factor, upper = _alternating_step(np.stack(T.kraus),
-                                                     primal, dual, M, j)
+    # The marginals yielded before steps 0..j + 1, each with the step
+    # taken just before it.
+    items = list(itertools.islice(_iterate(T.kraus, M), j + 2))
+    primal, dual, _ = items[j]
+    next_primal, next_dual, (inc, log_factor, upper) = items[j + 1]
     target, a, blocks = ((primal, M.q, q_blocks) if j == 0
                          else (dual, M.p, p_blocks))
     npt.assert_allclose(log_factor, -log_relative_det(a, target, blocks),
                         rtol=1e-10, atol=1e-12)
     npt.assert_allclose(upper, log_relative_det(
         a, inc.conj().T @ target @ inc, blocks), atol=1e-10)
-    expected = ([inc.conj().T @ A for A in T.kraus] if j == 0
-                else [A @ inc for A in T.kraus])
-    npt.assert_allclose(K, np.stack(expected), atol=1e-14)
+    # The rescaled stack, one operator at a time, has the next marginals.
+    g = items[1][2][0]
+    h = inc if j == 1 else np.eye(M.n)
+    rescaled = CPMap([g.conj().T @ A @ h for A in T.kraus])
+    npt.assert_allclose(next_primal, apply(rescaled, np.diag(M.p)),
+                        rtol=1e-10, atol=1e-12)
+    npt.assert_allclose(next_dual, dual_apply(rescaled, np.diag(M.q)),
+                        rtol=1e-10, atol=1e-12)
+
+
+@given(flag_structures, flag_structures, st.integers(1, 4), st.integers(0, 40),
+       st.booleans(), seeds)
+def test_estimate_capacity_matches_literal(p_blocks, q_blocks, r, budget,
+                                           shared_kernel, seed):
+    rng = np.random.default_rng(seed)
+    M = random_blocked_spec(rng, p_blocks, q_blocks)
+    shared_kernel &= M.n > 1
+    # A T(P) of rank r (n - shared_kernel) < m has cap 0.  With no step to
+    # fail on it, budget 0 reads v_0 off a minor at roundoff level, which
+    # Cholesky and slogdet may each take as positive or as zero.
+    assume(budget or r * (M.n - shared_kernel) >= M.m)
+    K = random_complex(rng, (r, M.m, M.n))
+    if shared_kernel:
+        # every operator kills one input vector, so T*(Q) stays singular
+        # and the iteration diverges
+        v = random_complex(rng, M.n)
+        v /= np.linalg.norm(v)
+        K -= (K @ v)[:, :, None] * v.conj()
+    T = CPMap(K)
+    est = estimate_capacity(T, M, budget)
+    log_value, diverged, steps = estimate_capacity_literal(T, M, budget)
+    assert (est.diverged, est.steps) == (diverged, steps)
+    npt.assert_allclose(est.log_value, log_value, rtol=1e-9)
 
 
 # Reals from every range the bit_complexity kernel tells apart, writing

@@ -3,6 +3,8 @@ import importlib
 import pathlib
 import pkgutil
 
+import pytest
+
 import opscale
 
 # The CLI is the console entry point, not part of the library namespace.
@@ -70,3 +72,36 @@ def test_modules_import_only_lower_ranks():
 
 def test_bit_complexity_has_one_definition():
     assert opscale.feasibility.bit_complexity is opscale.relmetrics.bit_complexity
+
+
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+
+
+def _unused_imports(path):
+    """(line, name) of every name `path` imports but never reads.
+
+    __future__ imports, star re-exports and lines marked `# noqa: F401` (a
+    binding kept for other modules to reach) are exempt; a name read
+    anywhere in the module, however deeply nested, counts as used.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

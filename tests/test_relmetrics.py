@@ -26,7 +26,7 @@ from opscale import (
     relative_det,
     shannon_entropy,
 )
-from opscale.cpmap import dual_apply, apply, marginals
+from opscale.cpmap import marginals
 from opscale.relmetrics import (
     CapacityTrace,
     deltas,

@@ -39,7 +39,7 @@ from opscale import (
     project_to_support,
     triangular_scale,
 )
-from opscale import cpmap, feasibility, relmetrics, scaler
+from opscale import cpmap, relmetrics, scaler
 from opscale.cpmap import scale
 
 
@@ -100,6 +100,25 @@ class TestConfigAndBudget:
         assert iteration_budget(10, 3, 1e-170, 0.5, 0.5, mode="general") == hard_cap()
         monkeypatch.setenv("OPSCALE_HARD_CAP", "50")
         assert iteration_budget(10, 3, 1e-170, 0.5, 0.5, mode="general") == 50
+
+    @pytest.mark.parametrize("b", [0, 0.5, -5, float("nan")])
+    def test_budget_rejects_bit_size_below_one(self, b):
+        # the budget formulas read b as a bit size; below 1 they go negative
+        with pytest.raises(ValueError, match="bit complexity b"):
+            iteration_budget(b, 3, 0.1, 0.2, 0.2)
+
+    @pytest.mark.parametrize("log_cap1", [5.0, 1e-9, float("nan"),
+                                          float("inf")])
+    def test_budget_rejects_positive_log_capacity(self, log_cap1):
+        # a balanced map has cap <= 1, so a positive log is no capacity
+        with pytest.raises(ValueError, match="log_cap1"):
+            iteration_budget(10, 3, 0.1, 0.2, 0.2, log_cap1=log_cap1)
+
+    def test_budget_accepts_the_boundary_values(self):
+        assert iteration_budget(1, 3, 0.1, 0.2, 0.2) == 1500
+        assert iteration_budget(10, 3, 0.1, 0.2, 0.2, log_cap1=0.0) == 0
+        assert iteration_budget(10, 3, 0.1, 0.2, 0.2,
+                                log_cap1=float("-inf")) == hard_cap()
 
 
 class TestTriangularScale:
