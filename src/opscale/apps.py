@@ -150,9 +150,12 @@ def build_matrix_cpmap(A):
     """CP map with one rank-one Kraus operator per positive entry of A.
 
     T(X) = sum_ij A_ij X_jj e_ii, so both marginals of any scaling of T
-    by diagonal factors are exactly diagonal.
+    by diagonal factors are exactly diagonal.  The entries of A must be
+    finite and nonnegative.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = _finite(A, "matrix")
+    if np.any(A < 0):
+        raise ValueError("matrix entries must be nonnegative")
     rows, cols = np.nonzero(A > 0)
     if not rows.size:
         raise ValueError("matrix has no positive entries")

@@ -15,12 +15,18 @@ function so that a solver step, which already holds the marginal it just
 balanced, computes only the other one from the rescaled stack.  apply and
 dual_apply keep the literal per-operator sums as reference evaluations.
 
+The alternating loop runs this stack, or, for a stack with at most one
+nonzero per row and per column of each operator (build_matrix_cpmap's
+maps) under all-1 x 1 blocks, its weight matrix W_ij = sum_k |A_k,ij|^2:
+relmetrics._layout picks the layout inside each solve.
+
 The balancing primitive used by every solver finds, for positive definite
 S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
 Cholesky factor L of S masked to its diagonal blocks, so g is
 block-diagonal with upper-triangular blocks.  Positive definiteness is
 tested by a Cholesky factorization of S - floor I rather than by its
-eigenvalues, and every factorization is one direct LAPACK zpotrf call.
+eigenvalues (_above_floor, which estimate_capacity's objective shares),
+and every factorization is one direct LAPACK zpotrf call.
 The flag geometry of a block structure (mask, in-block indices, ds weight
 indices) is one read-only plan, built on first use and cached, so solver
 steps do not rebuild it.
@@ -367,11 +373,9 @@ def balance_factor(S, block_sizes=None):
     """
     S = hermitian_part(np.asarray(S, dtype=np.complex128))
     d = S.shape[0]
-    floor = max(singular_floor(S), 0.0)
     blocks = (d,) if block_sizes is None else _check_blocks(block_sizes, d,
                                                             "block_sizes")
-    if (_cholesky(S - floor * _identity(d)) is None
-            and not _min_eigenvalue(S) > floor):
+    if not _above_floor(S):
         raise NotPositiveDefinite(_min_eigenvalue(S))
     L = _cholesky(_block_diagonal(S, blocks))
     if L is None:
@@ -385,6 +389,17 @@ def balance_factor(S, block_sizes=None):
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return Linv.conj().T
+
+
+def _above_floor(S):
+    """Whether Hermitian S has lambda_min(S) > max(singular_floor(S), 0).
+
+    One Cholesky factorization of S - floor I decides; eigvalsh runs only
+    when it fails, to overrule a failure inside its roundoff band.
+    """
+    floor = max(singular_floor(S), 0.0)
+    return (_cholesky(S - floor * _identity(S.shape[0])) is not None
+            or _min_eigenvalue(S) > floor)
 
 
 def _min_eigenvalue(S):

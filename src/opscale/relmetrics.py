@@ -32,9 +32,22 @@ solvers record in a CapacityTrace.  One loop, the generator _iterate,
 runs the alternating iteration for two clients: the solve body
 (scaler._solve) and estimate_capacity, which reads an upper estimate of
 cap off it.  It carries both marginals from one step to the next and
-computes one of them from the Kraus stack: the side a step balances
-becomes inc^dag target inc, the product it forms anyway for the upper
-estimate, which differs from the recomputed marginal only by roundoff.
+computes one of them from the map: the side a step balances becomes
+inc^dag target inc, the product it forms anyway for the upper estimate,
+which differs from the recomputed marginal only by roundoff.
+
+The loop reaches the map only through three operations of a layout: one
+side's marginal, the balance of a target and the congruence of the map
+by the balance factor.  _layout picks the layout once per run, from the
+support-restricted instance.  _Diagonal takes cell-supported stacks
+(every Kraus operator with at most one nonzero per row and per column)
+under specs whose blocks are all 1 x 1: there every marginal is exactly
+diagonal, the map is its weight matrix W, the marginals are W q and
+W^T p, the balance factor is 1/sqrt(S_ii), positive definiteness is
+min S_ii > singular_floor (lambda_min of a diagonal S), a congruence
+rescales the rows or the columns of W, and the balanced side is the
+identity.  Every other instance runs in _Stack, the dense (r, m, n)
+Kraus stack.
 
 bit_complexity is the integer size parameter b driving the worst-case
 iteration budgets and the capacity lower bound exp(-10 b): the total bit
@@ -334,7 +347,7 @@ def bit_complexity(T, M):
 def log_capacity_lower_bound(b, m):
     """(log general bound, log post-first-step bound) = (-10 b, -14 b m)."""
     b = float(b)
-    if b < 1:
+    if not b >= 1:
         raise ValueError("bit complexity must be >= 1")
     return -10.0 * b, -14.0 * b * m
 
@@ -412,35 +425,149 @@ def _log_det(a, X, blocks):
     return 2.0 * float(np.dot(a, np.log(L.diagonal().real)))
 
 
-def _iterate(K, M):
-    """The alternating iteration on the (r, m, n) Kraus stack K, lazily.
+class _Stack:
+    """The dense layout: the (r, m, n) Kraus stack and square factors.
+
+    marginal, balance and congruence are the three operations _iterate
+    runs on a map; eye, mul and matrix compose factors, and ds, log_det
+    and above_floor read marginals.  Each is the literal dense product.
+    """
+
+    @staticmethod
+    def load(K):
+        return K
+
+    matrix = load  # a factor is its own matrix
+    mul = staticmethod(np.matmul)
+    log_det = staticmethod(_log_det)
+    above_floor = staticmethod(cpmap._above_floor)
+
+    @staticmethod
+    def eye(d):
+        return np.eye(d, dtype=np.complex128)
+
+    @staticmethod
+    def marginal(K, a, output):
+        """T(diag a) on the output side, T*(diag a) on the input side."""
+        return (cpmap._output_marginal(K, a) if output
+                else cpmap._input_marginal(K, a))
+
+    @staticmethod
+    def balance(S, a, blocks):
+        """(inc, log det(a, inc^dag inc), inc^dag S inc, log det(a, that))."""
+        inc = cpmap.balance_factor(S, blocks)
+        balanced = inc.conj().T @ S @ inc
+        return (inc, 2.0 * float(np.dot(a, np.log(inc.diagonal().real))),
+                balanced, _log_det(a, balanced, blocks))
+
+    @staticmethod
+    def congruence(K, f, output):
+        """f^dag K on the output side, K f on the input side."""
+        if output:
+            return f.conj().T @ K
+        return (K.reshape(-1, K.shape[2]) @ f).reshape(K.shape)
+
+    @staticmethod
+    def ds(primal, dual, M):
+        # by its module-level name, which the benchmark's tracer hooks
+        return ds_from_marginals(primal, dual, M)
+
+
+class _Diagonal:
+    """The diagonal layout of a cell-supported map with 1 x 1 blocks.
+
+    The map is its weight matrix W_ij = sum_k |K_k,ij|^2 and a factor is
+    the vector of its diagonal: both marginals of every diagonal scaling
+    are exactly diagonal, T(diag p) = diag(W p) and T*(diag q) =
+    diag(W^T q), so lambda_min(S) = min S_ii, a balance factor is
+    1/sqrt(S_ii) and its congruence a row or column rescaling of W.
+    """
+
+    @staticmethod
+    def load(K):
+        return (K.real ** 2 + K.imag ** 2).sum(axis=0)
+
+    matrix = staticmethod(np.diag)
+    mul = staticmethod(np.multiply)
+    eye = staticmethod(np.ones)
+
+    @staticmethod
+    def log_det(a, S, blocks):
+        return float(np.dot(a, np.log(S)))
+
+    @staticmethod
+    def above_floor(S):
+        return S.min() > 1e-12 * float(S.sum()) / S.size
+
+    @staticmethod
+    def marginal(W, a, output):
+        return W @ a if output else a @ W
+
+    @staticmethod
+    def balance(S, a, blocks):
+        if not _Diagonal.above_floor(S):
+            raise NotPositiveDefinite(float(S.min()) if np.isfinite(S).all()
+                                      else math.nan)
+        # inc S inc is the identity, up to one rounding that is dropped.
+        inc = 1.0 / np.sqrt(S)
+        return inc, 2.0 * float(np.dot(a, np.log(inc))), np.ones(S.size), 0.0
+
+    @staticmethod
+    def congruence(W, f, output):
+        """f W f entrywise: f rescales the rows of W on the output side and
+        its columns on the input side (f is a real balance factor)."""
+        f = f[:, None] if output else f
+        return f * W * f
+
+    @staticmethod
+    def ds(primal, dual, M):
+        """ds_from_marginals of diagonal marginals under 1 x 1 blocks."""
+        return (float(np.dot(M.p, (dual - 1.0) ** 2))
+                + float(np.dot(M.q, (primal - 1.0) ** 2)))
+
+
+def _layout(K, M):
+    """The layout the alternating loop runs the (r, m, n) stack K in.
+
+    _Diagonal when every block of M is 1 x 1 and every Kraus operator has
+    at most one nonzero per row and per column (build_matrix_cpmap's
+    maps), so that diagonal factors keep both marginals diagonal; else
+    _Stack.
+    """
+    if len(M.p_blocks) < M.n or len(M.q_blocks) < M.m:
+        return _Stack
+    nz = K != 0
+    if nz.sum(axis=1).max() > 1 or nz.sum(axis=2).max() > 1:
+        return _Stack
+    return _Diagonal
+
+
+def _iterate(X, M, layout=_Stack):
+    """The alternating iteration on the map X in `layout`, lazily.
 
     Yields (primal, dual, step) before each step j = 0, 1, ...: the
     marginals T_j(P), T_j*(Q) and the step just taken, (balance factor,
     log capacity-change factor -log det(a, target), log det(a, balanced
     target) ~ 0), None at j = 0.  Even steps balance T(P) against q, odd
-    steps T*(Q) against p; inc^dag target inc becomes the balanced side's
-    marginal, so only the other is computed from the rescaled stack.  A
-    step runs only on next() and raises NotPositiveDefinite when its
-    target cannot be balanced.
+    steps T*(Q) against p; the balanced target (inc^dag target inc, the
+    identity in _Diagonal) becomes that side's marginal, so only the
+    other is computed from the rescaled map.  A step runs only on next()
+    and raises NotPositiveDefinite when its target cannot be balanced.
     """
-    primal, dual = cpmap._stacked_marginals(K, M.p, M.q)
+    primal, dual = layout.marginal(X, M.p, True), layout.marginal(X, M.q, False)
     step = None
     for j in itertools.count():
         yield primal, dual, step
         output = j % 2 == 0
         target, a, blocks = ((primal, M.q, M.q_blocks) if output
                              else (dual, M.p, M.p_blocks))
-        inc = cpmap.balance_factor(target, blocks)
-        log_factor = 2.0 * float(np.dot(a, np.log(inc.diagonal().real)))
-        balanced = inc.conj().T @ target @ inc
-        step = inc, log_factor, _log_det(a, balanced, blocks)
+        inc, log_factor, balanced, upper = layout.balance(target, a, blocks)
+        step = inc, log_factor, upper
+        X = layout.congruence(X, inc, output)
         if output:
-            K = inc.conj().T @ K
-            primal, dual = balanced, cpmap._input_marginal(K, M.q)
+            primal, dual = balanced, layout.marginal(X, M.q, False)
         else:
-            K = (K.reshape(-1, K.shape[2]) @ inc).reshape(K.shape)
-            primal, dual = cpmap._output_marginal(K, M.p), balanced
+            primal, dual = layout.marginal(X, M.p, True), balanced
 
 
 def estimate_capacity(T, M, budget=200):
@@ -451,8 +578,10 @@ def estimate_capacity(T, M, budget=200):
     current scaled map at h = I and cum_j the summed log change factors;
     cap(T) <= exp(est_j) for every j, with equality in the limit when the
     iteration converges.  Returns a 0-flagged estimate when a balance
-    target stops being positive definite or the estimate falls to
-    log 1e-300 (capacity vanishing on the PSD boundary).
+    target, or the T_j(P) that v_j is read off, fails the PD test of
+    balance_factor, or when the estimate falls to log 1e-300 (capacity
+    vanishing on the PSD boundary).  An estimate past the largest double
+    has value inf and a finite log_value.
 
     Requires strictly positive spectra and a nonnegative integer budget.
     """
@@ -461,18 +590,27 @@ def estimate_capacity(T, M, budget=200):
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
     cum, best = 0.0, math.inf
-    iterates = itertools.islice(_iterate(T.kraus, M), int(budget) + 1)
+    layout = _layout(T.kraus, M)
+    iterates = itertools.islice(_iterate(layout.load(T.kraus), M, layout),
+                                int(budget) + 1)
     # Overflowing Kraus updates are handled: the estimate then diverges.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for j, (primal, _, step) in enumerate(iterates):
                 if step is not None:
                     cum += step[1]
-                best = min(best, _log_det(M.q, primal, M.q_blocks) - cum)
+                # v_j, read only off a T_j(P) that a balance step accepts
+                v = (layout.log_det(M.q, primal, M.q_blocks)
+                     if layout.above_floor(primal) else -math.inf)
+                best = min(best, v - cum)
                 if best <= _MINOR_FLOOR_LOG:
                     break
         except NotPositiveDefinite:
             best = -math.inf
     if best <= _MINOR_FLOOR_LOG:
         return CapacityEstimate(0.0, -math.inf, True, j)
-    return CapacityEstimate(math.exp(best), best, False, int(budget))
+    try:
+        value = math.exp(best)
+    except OverflowError:  # past the largest double; log_value is finite
+        value = math.inf
+    return CapacityEstimate(value, best, False, int(budget))

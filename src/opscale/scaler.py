@@ -17,13 +17,15 @@ balance factor, preserving the flag structure of the marginal spec.
 triangular_scale starts from the identity and requires strictly positive
 spectra; general_scale handles singular targets and arbitrary instances
 from a random block-diagonal Gaussian pair, drawn once (a numerically
-singular draw ends the run).  A solve restricts the instance to the support of the
-spectra (a no-op on positive spectra), runs the loop on the raw
-(r, m, n) Kraus stack g0^dag T h0, composes the last iterate with the
-start, lifts it back with the identity off the support, and validates
-only the ScalingPair it returns.  A SUCCESS is reported only after the
-returned pair's ds, recomputed once on the instance as given, meets the
-threshold (to a relative 1e-6); otherwise the run ends in ERROR_BUDGET.
+singular draw ends the run).  A solve restricts the instance to the
+support of the spectra (a no-op on positive spectra), runs the loop on
+the raw (r, m, n) Kraus stack g0^dag T h0, or on its weight matrix when
+relmetrics._layout picks the diagonal layout, composes the last iterate
+with the start, lifts it back with the identity off the support, and
+validates only the ScalingPair it returns.  A SUCCESS is reported only
+after the returned pair's ds, recomputed once on the instance as given
+(by the dense stack product in either layout), meets the threshold (to
+a relative 1e-6); otherwise the run ends in ERROR_BUDGET.
 A run whose threshold lies below the roundoff floor of ds, about
 (m + n)^2 u^2, ends in ERROR_BUDGET at the first step whose ds is at
 that floor and not below both of the two before it, which also stops a
@@ -281,6 +283,9 @@ def _resolve_budget(T, M, config, mode):
 
 
 def _block_gaussian(rng, slices, dim):
+    if len(slices) == dim:  # 1 x 1 blocks: the same draws, made at once
+        z = rng.standard_normal((dim, 2))
+        return np.diag((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
     out = np.zeros((dim, dim), dtype=np.complex128)
     for s in slices:
         k = s.stop - s.start
@@ -313,9 +318,10 @@ def _solve(T, M, config, mode):
     # The roundoff floor of ds: once each of the m^2 + n^2 marginal entries
     # is off by about one unit roundoff, ds (weights at most 1) stays below.
     floor = _UNIT_ROUNDOFF_SQ * (Mr.m + Mr.n) ** 2
+    layout = relmetrics._layout(Tr.kraus, Mr)
     K = Tr.kraus
-    gh = [np.eye(d, dtype=np.complex128) for d in (Mr.m, Mr.n)]
-    g0, h0 = gh  # the identity start; the loop rebinds the entries of gh
+    g0, h0 = (np.eye(d, dtype=np.complex128) for d in (Mr.m, Mr.n))
+    gh = [layout.eye(d) for d in (Mr.m, Mr.n)]  # the loop rebinds its entries
     ds_list = []
     steps = 0
     min_eig = None
@@ -336,7 +342,7 @@ def _solve(T, M, config, mode):
             # first ds.
             K = g0.conj().T @ K @ h0
         try:
-            for primal, dual, step in _iterate(K, Mhat):
+            for primal, dual, step in _iterate(layout.load(K), Mhat, layout):
                 if step is not None:
                     inc, log_factor, upper = step
                     trace.append(log_factor, upper)
@@ -345,13 +351,13 @@ def _solve(T, M, config, mode):
                     # factor this step changed (the other passed when it last
                     # changed) leaves the representable range, keeping the
                     # current factors so later compositions stay finite.
-                    new = gh[steps % 2] @ inc
+                    new = layout.mul(gh[steps % 2], inc)
                     if not np.linalg.norm(new) < _FACTOR_CAP:
                         status = ERROR_BUDGET
                         break
                     gh[steps % 2] = new
                     steps += 1
-                ds_list.append(relmetrics.ds_from_marginals(primal, dual, Mhat))
+                ds_list.append(layout.ds(primal, dual, Mhat))
                 if ds_list[-1] <= thresh:
                     status = SUCCESS
                     break
@@ -368,7 +374,8 @@ def _solve(T, M, config, mode):
             status = ERROR_NOT_PD
             min_eig = s * err.min_eigenvalue
         try:
-            pair = ScalingPair(g0 @ gh[0], h0 @ (gh[1] / math.sqrt(s)))
+            pair = ScalingPair(g0 @ layout.matrix(gh[0]),
+                               h0 @ layout.matrix(gh[1] / math.sqrt(s)))
         except NotInvertible:  # singular to working precision: the start
             pair = ScalingPair(g0, h0 @ (np.eye(Mr.n) / math.sqrt(s)))
             if status != ERROR_NOT_PD:

@@ -236,14 +236,20 @@ def estimate_capacity_literal(T, M, budget):
 
     Recomputes both marginals of the rescaled operators, one operator at a
     time, at every step, balances by balance_factor_literal, and takes
-    v_j = log det(Q, T_j(P)) and each log change factor -log det(a, target)
-    from log_relative_det.
+    v_j = log det(Q, T_j(P)), 0 on a T_j(P) that balance_factor_literal
+    rejects, and each log change factor -log det(a, target) from
+    log_relative_det.
     """
     ops = list(T.kraus)
     cum, best = 0.0, math.inf
     for j in range(budget + 1):
         primal = sum(A @ np.diag(M.p) @ A.conj().T for A in ops)
         dual = sum(A.conj().T @ np.diag(M.q) @ A for A in ops)
+        # v_j is read only off a T_j(P) that a balance step accepts
+        try:
+            balance_factor_literal(primal, M.q_blocks)
+        except NotPositiveDefinite:
+            return -math.inf, True, j
         best = min(best, log_relative_det(M.q, primal, M.q_blocks) - cum)
         if best <= math.log(1e-300):
             return -math.inf, True, j

@@ -43,6 +43,13 @@ class TestMatrixScaling:
         with pytest.raises(ValueError):
             build_matrix_cpmap(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, -3.0, np.inf, -np.inf])
+    def test_builder_rejects_entries_that_are_not_finite_and_nonnegative(
+            self, bad):
+        # A > 0 is False for NaN and negatives: they must not read as 0
+        with pytest.raises(ValueError):
+            build_matrix_cpmap([[bad, 1.0], [1.0, 1.0]])
+
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             MatrixScalingInstance([[1.0, -1.0]], [1.0], [0.5, 0.5])

@@ -18,7 +18,8 @@ positive definiteness, a loop recomputing both marginals every step
 capacity estimate by its definition (helpers.estimate_capacity_literal)
 for estimate_capacity's reading of the shared loop, and the
 triangular solve of the precomposed map g0^dag T h0 for general_scale
-on a full-support instance (exact equality).
+on a full-support instance (exact equality), and the dense-stack loop
+for the diagonal layout that matrix maps run in.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from helpers import (
     alternate_literal,
@@ -54,7 +55,9 @@ from opscale import (
     CPMap,
     ForsterInstance,
     MarginalSpec,
+    MatrixScalingInstance,
     NotPositiveDefinite,
+    ScalingFailure,
     ScalingPair,
     SolverConfig,
     apply,
@@ -64,6 +67,7 @@ from opscale import (
     build_horn_cpmap,
     build_matrix_cpmap,
     convert_pair,
+    decide_scalable,
     ds_from_marginals,
     dual_apply,
     estimate_capacity,
@@ -71,13 +75,14 @@ from opscale import (
     iteration_budget,
     log_relative_det,
     marginals,
+    matrix_scale,
     polymatroid_membership,
     project_to_support,
     scale,
     singular_floor,
     triangular_scale,
 )
-from opscale import relmetrics, scaler
+from opscale import cpmap, relmetrics, scaler
 from opscale.apps import _majorizes
 from opscale.cpmap import _block_plan
 from opscale.relmetrics import _iterate, _log_det
@@ -335,10 +340,6 @@ def test_estimate_capacity_matches_literal(p_blocks, q_blocks, r, budget,
     rng = np.random.default_rng(seed)
     M = random_blocked_spec(rng, p_blocks, q_blocks)
     shared_kernel &= M.n > 1
-    # A T(P) of rank r (n - shared_kernel) < m has cap 0.  With no step to
-    # fail on it, budget 0 reads v_0 off a minor at roundoff level, which
-    # Cholesky and slogdet may each take as positive or as zero.
-    assume(budget or r * (M.n - shared_kernel) >= M.m)
     K = random_complex(rng, (r, M.m, M.n))
     if shared_kernel:
         # every operator kills one input vector, so T*(Q) stays singular
@@ -351,6 +352,104 @@ def test_estimate_capacity_matches_literal(p_blocks, q_blocks, r, budget,
     log_value, diverged, steps = estimate_capacity_literal(T, M, budget)
     assert (est.diverged, est.steps) == (diverged, steps)
     npt.assert_allclose(est.log_value, log_value, rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 198])
+def test_budget_zero_estimate_of_a_rank_deficient_map_vanishes(seed):
+    # T(P) of rank r n = 1 < m = 2 has cap 0; the objective is read only
+    # off a T(P) that passes balance_factor's PD test, as at any budget
+    rng = np.random.default_rng(seed)
+    M = random_blocked_spec(rng, (1,), (2,))
+    T = CPMap(random_complex(rng, (1, 2, 1)))
+    for budget in (0, 1):
+        est = estimate_capacity(T, M, budget)
+        assert (est.value, est.log_value, est.diverged, est.steps) == (
+            0.0, -math.inf, True, 0)
+
+
+def random_matrix(rng, m, n, density):
+    """Nonnegative m x n matrix, with at least one positive entry and,
+    at low density, zero rows and columns."""
+    A = np.where(rng.random((m, n)) < density, rng.uniform(0.1, 4.0, (m, n)),
+                 0.0)
+    A[rng.integers(m), rng.integers(n)] = rng.uniform(0.1, 4.0)
+    return A
+
+
+def _dense_layout(K, M):
+    return relmetrics._Stack
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.floats(0.2, 1.0),
+       st.sampled_from(["matrix_scale", "decide_scalable"]),
+       st.sampled_from([1e-2, 1e-4, 1e-6]), st.integers(0, 60), seeds)
+def test_diagonal_layout_matches_dense_stack(m, n, density, path, eps, budget,
+                                             seed):
+    # Matrix maps run the loop on their weight matrix; the dense-stack
+    # loop on the same map is its oracle.  The layouts round differently:
+    # their marginals agree to some hundred ulps after 60 steps, so ds, the
+    # weighted squared deviation of the marginals from I, agrees to 1e-12
+    # relative or to about 2^-43 sqrt(s ds), its first-order change (s the
+    # spectrum total).  A balanced side is the identity in the diagonal
+    # layout, so its upper estimates are 0.
+    rng = np.random.default_rng(seed)
+    A = random_matrix(rng, m, n, density)
+    r, c = rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, n)
+    if path == "matrix_scale":
+        instance = MatrixScalingInstance(A, r, c * (r.sum() / c.sum()))
+
+        def solve():
+            try:
+                return matrix_scale(instance, eps, seed, budget).result
+            except ScalingFailure as err:
+                return err.result
+    else:
+        # zero tails on both sides exercise the support restriction
+        r[rng.random(m) < 0.3], c[rng.random(n) < 0.3] = 0.0, 0.0
+        r[0], c[0] = max(r[0], 0.5), max(c[0], 0.5)
+        M = MarginalSpec(c * (r.sum() / c.sum()), r, (1,) * n, (1,) * m)
+
+        def solve():
+            return decide_scalable(build_matrix_cpmap(A), M, seed, budget).result
+    res = solve()
+    with mock.patch.object(relmetrics, "_layout", _dense_layout):
+        dense = solve()
+    assert ((res.status, res.iterations, res.min_eigenvalue)
+            == (dense.status, dense.iterations, dense.min_eigenvalue))
+    ds, ref = np.array(res.ds_trace), np.array(dense.ds_trace)
+    slack = 2.0**-43 * np.sqrt(ref * r.sum()) + 1e-26
+    assert np.all(np.abs(ds - ref) <= 1e-12 * ref + slack)
+    npt.assert_allclose(res.capacity_trace.log_factors,
+                        dense.capacity_trace.log_factors, rtol=1e-12,
+                        atol=1e-13)
+    assert not any(res.capacity_trace.upper_estimates)
+    npt.assert_allclose(dense.capacity_trace.upper_estimates, 0.0, atol=1e-14)
+
+
+def _count_balance_factor(monkeypatch):
+    calls = []
+    original = cpmap.balance_factor
+    monkeypatch.setattr(cpmap, "balance_factor",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_matrix_map_solve_never_calls_balance_factor(monkeypatch):
+    calls = _count_balance_factor(monkeypatch)
+    A = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 3.0]])
+    res = matrix_scale(MatrixScalingInstance(A, [1.0, 2.0], [1.0, 1.5, 0.5]),
+                       1e-6).result
+    assert res.iterations > 2 and not calls
+
+
+def test_dense_map_with_unit_blocks_calls_balance_factor(monkeypatch):
+    # 1 x 1 blocks alone do not make a map cell-supported
+    calls = _count_balance_factor(monkeypatch)
+    rng = np.random.default_rng(3)
+    T = random_cpmap(rng, 2, 3, 2)
+    M = MarginalSpec([0.5, 0.3, 0.2], [0.6, 0.4], (1, 1, 1), (1, 1))
+    res = triangular_scale(T, M, SolverConfig(1e-6, max_iterations=20))
+    assert res.iterations and len(calls) == res.iterations
 
 
 # Reals from every range the bit_complexity kernel tells apart, writing

@@ -191,6 +191,11 @@ class TestCapacityBookkeeping:
         with pytest.raises(ValueError):
             log_capacity_lower_bound(0, 2)
 
+    @pytest.mark.parametrize("b", [math.nan, -math.inf])
+    def test_lower_bound_rejects_a_bit_size_that_is_not_at_least_one(self, b):
+        with pytest.raises(ValueError):
+            log_capacity_lower_bound(b, 2)
+
     def test_trace_cumulative_sums(self):
         trace = CapacityTrace()
         for k in range(5):
@@ -239,6 +244,13 @@ class TestEstimateCapacity:
         T = CPMap([np.eye(2)])
         with pytest.raises(ValueError, match="nonnegative integer"):
             estimate_capacity(T, MarginalSpec(np.ones(2), np.ones(2)), budget=budget)
+
+    def test_estimate_past_the_largest_double_is_inf(self):
+        # T(P) = 1e200 I: log det(Q, T(P)) = 2 log 1e200, about 921 > 709
+        est = estimate_capacity(CPMap(1e100 * np.eye(2)[None]),
+                                MarginalSpec([1.0, 1.0], [1.0, 1.0]), budget=5)
+        assert est.value == math.inf and not est.diverged
+        npt.assert_allclose(est.log_value, 4 * math.log(1e100), rtol=1e-12)
 
     def test_numpy_integer_budget_counts_its_steps(self):
         est = estimate_capacity(CPMap([np.eye(2)]),
