@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cpmap import CPMap, MarginalSpec, hermitian_part
+from .cpmap import CPMap, MarginalSpec, _WeightMap, hermitian_part
 from .exceptions import (
     AllZeroSpectrum,
     DimensionTooLarge,
@@ -151,7 +151,10 @@ def build_matrix_cpmap(A):
 
     T(X) = sum_ij A_ij X_jj e_ii, so both marginals of any scaling of T
     by diagonal factors are exactly diagonal.  The entries of A must be
-    finite and nonnegative.
+    finite and nonnegative.  The map is held as its weight matrix, with
+    entries sqrt(A_ij)^2; its Kraus operators, sqrt(A_ij) e_i e_j^T in
+    row-major order of the positive entries, are formed only when
+    T.kraus is read.
     """
     A = _finite(A, "matrix")
     if np.any(A < 0):
@@ -159,9 +162,9 @@ def build_matrix_cpmap(A):
     rows, cols = np.nonzero(A > 0)
     if not rows.size:
         raise ValueError("matrix has no positive entries")
-    K = np.zeros((rows.size,) + A.shape, dtype=np.complex128)
-    K[np.arange(rows.size), rows, cols] = np.sqrt(A[rows, cols])
-    return CPMap(K)
+    root = np.zeros(A.shape)
+    root[rows, cols] = np.sqrt(A[rows, cols])
+    return _WeightMap(root, np.arange(rows.size), rows.size)
 
 
 def rc_feasible(instance):

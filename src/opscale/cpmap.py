@@ -1,7 +1,7 @@
 """Completely positive maps, marginal targets, scalings, and balancing.
 
-A completely positive map T is stored as one read-only (r, m, n) stack
-of Kraus operators A_1, ..., A_r (all m x n):
+A completely positive map T is given by Kraus operators A_1, ..., A_r
+(all m x n):
 
     T(X)  = sum_i A_i X A_i^dag        (n x n  ->  m x m)
     T*(Y) = sum_i A_i^dag Y A_i        (m x m  ->  n x n)
@@ -15,10 +15,17 @@ function so that a solver step, which already holds the marginal it just
 balanced, computes only the other one from the rescaled stack.  apply and
 dual_apply keep the literal per-operator sums as reference evaluations.
 
-The alternating loop runs this stack, or, for a stack with at most one
-nonzero per row and per column of each operator (build_matrix_cpmap's
-maps) under all-1 x 1 blocks, its weight matrix W_ij = sum_k |A_k,ij|^2:
-relmetrics._layout picks the layout inside each solve.
+A CPMap holds them as one read-only (r, m, n) stack.  The maps of
+build_matrix_cpmap, one operator sqrt(A_ij) e_i e_j^T per positive
+entry, are held as their weight matrix W_ij = sum_k |A_k,ij|^2 instead
+(the private subclass _WeightMap), with r, m and n; their stack is
+formed only when T.kraus is read.  The alternating loop runs W as
+stored under all-1 x 1 blocks, and every other reader of such a map
+(support projection, bit size, the Gaussian start, the SUCCESS
+re-check, the CLI's marginal errors) works on W and on diagonal
+factors.  A dense stack with at most one nonzero per row and per
+column of each operator runs the loop on its weight matrix too:
+relmetrics._layout detects it inside each solve.
 
 The balancing primitive used by every solver finds, for positive definite
 S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
@@ -92,6 +99,9 @@ class CPMap:
         The Kraus operators, r >= 1, stored as one (r, m, n) stack: a
         read-only, C-contiguous complex128 array.  A CPMap itself has
         no len(), indexing or iteration; use T.kraus for the operators.
+        A map from build_matrix_cpmap is a CPMap held as its weight
+        matrix; its T.kraus is the same read-only stack, formed on the
+        first read.
     """
 
     kraus: np.ndarray
@@ -121,10 +131,81 @@ class CPMap:
         return f"CPMap(m={self.m}, n={self.n}, r={self.r})"
 
 
+class _WeightMap(CPMap):
+    """A CPMap held as its weight matrix: build_matrix_cpmap's maps.
+
+    Kraus operator k has the one nonzero root[i, j], k = ops[l] for the
+    l-th nonzero (i, j) of root in row-major order, and r operators in
+    all; cells of root without an operator are zero.  weights is the
+    weight matrix W = root^2, the bits of relmetrics._Diagonal.load on
+    the stack.  m, n and r never form the stack; kraus forms it once,
+    when read, with the values a dense CPMap of the same map holds.
+    """
+
+    def __init__(self, root, ops, r):
+        root = np.asarray(root, dtype=np.float64)
+        ops = np.asarray(ops, dtype=np.intp)
+        weights = root ** 2
+        for arr in (root, ops, weights):
+            arr.setflags(write=False)
+        self.root, self.ops, self.weights, self._r = root, ops, weights, int(r)
+
+    m = property(lambda self: self.root.shape[0], doc=CPMap.m.__doc__)
+    n = property(lambda self: self.root.shape[1], doc=CPMap.n.__doc__)
+    r = property(lambda self: self._r, doc=CPMap.r.__doc__)
+
+    @functools.cached_property
+    def kraus(self):
+        rows, cols = np.nonzero(self.root)
+        K = np.zeros((self.r, self.m, self.n), dtype=np.complex128)
+        K[self.ops, rows, cols] = self.root[rows, cols]
+        K.setflags(write=False)
+        return K
+
+    def restricted(self, row_mask, col_mask):
+        """The map on the masked rows and columns, with all r operators."""
+        rows, cols = np.nonzero(self.root)
+        keep = row_mask[rows] & col_mask[cols]
+        return _WeightMap(self.root[np.ix_(row_mask, col_mask)],
+                          self.ops[keep], self.r)
+
+    def congruence_weights(self, g, h):
+        """The weight matrix of g^dag T h for diagonal g and h, given as
+        vectors: |z|^2 for z = (conj(g_i) root_ij) h_j.
+
+        Each complex product is written out in unfused real arithmetic,
+        the rounding a BLAS zgemm applies to the one nonzero term of a
+        cell in its main kernel; numpy's complex multiply may fuse it
+        into an FMA instead.  Kernel edge lanes may round by an ulp
+        differently, so W matches _Diagonal.load of the dense product
+        g^dag K h to roundoff, and often bit for bit.
+        """
+        xr, xi = g.real[:, None] * self.root, -g.imag[:, None] * self.root
+        zr, zi = xr * h.real - xi * h.imag, xr * h.imag + xi * h.real
+        return zr ** 2 + zi ** 2
+
+
+@functools.lru_cache(maxsize=256)
 def _block_slices(blocks):
+    """The slices of the blocks of a block tuple, computed once per tuple."""
     stops = np.cumsum(blocks)
     starts = stops - np.asarray(blocks)
-    return [slice(int(a), int(b)) for a, b in zip(starts, stops)]
+    return tuple(slice(int(a), int(b)) for a, b in zip(starts, stops))
+
+
+def _nonincreasing_within(a, blocks):
+    """Whether a is nonincreasing within each block, up to 1e-12 max(1, block max).
+
+    One pass over all blocks: every rise a[i+1] - a[i] inside a block is
+    compared with the tolerance of that block.  1 x 1 blocks hold none.
+    """
+    if len(blocks) == a.size:
+        return True
+    starts = np.cumsum(blocks) - np.asarray(blocks)
+    tol = 1e-12 * np.maximum(1.0, np.maximum.reduceat(a, starts))
+    rises = np.diff(a) > np.repeat(tol, blocks)[:-1]
+    rises[starts[1:] - 1] = False  # the pairs that straddle two blocks
+    return not rises.any()
 
 
 class _BlockPlan(NamedTuple):
@@ -196,10 +277,8 @@ class MarginalSpec:
         q_blocks = _check_blocks(q_blocks if q_blocks is not None else (q.size,),
                                  q.size, "q_blocks")
         for a, blocks, name in ((p, p_blocks, "p"), (q, q_blocks, "q")):
-            for s in _block_slices(blocks):
-                seg = a[s]
-                if np.any(np.diff(seg) > 1e-12 * max(1.0, seg.max(initial=0.0))):
-                    raise ValueError(f"{name} must be nonincreasing within blocks")
+            if not _nonincreasing_within(a, blocks):
+                raise ValueError(f"{name} must be nonincreasing within blocks")
         p.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -258,11 +337,28 @@ class ScalingPair:
         for M, name in ((g, "g"), (h, "h")):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square")
-            smin = np.linalg.svd(M, compute_uv=False)[-1]
-            if not smin > 0:
+            if not _singular_range(M)[1] > 0:
                 raise NotInvertible(f"{name} is numerically singular")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
+
+
+def _is_diagonal(X):
+    """Whether every nonzero of the square matrix X is on its diagonal."""
+    return np.count_nonzero(X) == np.count_nonzero(np.diagonal(X))
+
+
+def _singular_range(X):
+    """(largest, smallest) singular value of square X.
+
+    A diagonal X, or a 1-d X standing for the diagonal matrix it is the
+    diagonal of, has them read off |diag| instead of an SVD.
+    """
+    if X.ndim == 1 or _is_diagonal(X):
+        sv = np.abs(X if X.ndim == 1 else np.diagonal(X))
+        return sv.max(), sv.min()
+    sv = np.linalg.svd(X, compute_uv=False)
+    return sv[0], sv[-1]
 
 
 def apply(T, X):
@@ -313,6 +409,19 @@ def _input_marginal(K, q):
 def _stacked_marginals(K, p, q):
     """(T(diag p), T*(diag q)) for the (r, m, n) Kraus stack K."""
     return _output_marginal(K, p), _input_marginal(K, q)
+
+
+def _pair_marginals(T, pair, p, q):
+    """(T_{g,h}(diag p), T*_{g,h}(diag q)) of scale(T, pair), unvalidated.
+
+    For a weight-stored T and a diagonal pair both are diagonal and
+    returned as 1-d diagonals, W' p and W'^T q for the weight matrix W'
+    of g^dag T h; otherwise as matrices, from the stack g^dag K h.
+    """
+    if isinstance(T, _WeightMap) and _is_diagonal(pair.g) and _is_diagonal(pair.h):
+        W = T.congruence_weights(np.diagonal(pair.g), np.diagonal(pair.h))
+        return W @ p, q @ W
+    return _stacked_marginals(pair.g.conj().T @ T.kraus @ pair.h, p, q)
 
 
 def marginals(T, M):

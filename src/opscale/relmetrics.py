@@ -38,16 +38,17 @@ which differs from the recomputed marginal only by roundoff.
 
 The loop reaches the map only through three operations of a layout: one
 side's marginal, the balance of a target and the congruence of the map
-by the balance factor.  _layout picks the layout once per run, from the
-support-restricted instance.  _Diagonal takes cell-supported stacks
-(every Kraus operator with at most one nonzero per row and per column)
-under specs whose blocks are all 1 x 1: there every marginal is exactly
-diagonal, the map is its weight matrix W, the marginals are W q and
-W^T p, the balance factor is 1/sqrt(S_ii), positive definiteness is
-min S_ii > singular_floor (lambda_min of a diagonal S), a congruence
-rescales the rows or the columns of W, and the balanced side is the
-identity.  Every other instance runs in _Stack, the dense (r, m, n)
-Kraus stack.
+by the balance factor.  The layout is picked once per run, from the
+support-restricted instance.  _Diagonal takes the maps held as their
+weight matrix (build_matrix_cpmap's, as stored: _weighted) and, by
+_layout's scan, dense cell-supported stacks (every Kraus operator with
+at most one nonzero per row and per column), both under specs whose
+blocks are all 1 x 1: there every marginal is exactly diagonal, the map
+is its weight matrix W, the marginals are W q and W^T p, the balance
+factor is 1/sqrt(S_ii), positive definiteness is min S_ii >
+singular_floor (lambda_min of a diagonal S), a congruence rescales the
+rows or the columns of W, and the balanced side is the identity.  Every
+other instance runs in _Stack, the dense (r, m, n) Kraus stack.
 
 bit_complexity is the integer size parameter b driving the worst-case
 iteration budgets and the capacity lower bound exp(-10 b): the total bit
@@ -55,7 +56,9 @@ length (numerator plus denominator) of all Kraus and spectrum entries,
 each snapped to the closest rational with denominator at most 2^53 (so
 0.1 counts as 1/10, 5 bits), plus log of the instance dimensions.  One
 numpy kernel computes it over chunks of nonzero entries; only entries
-too small for int64 arithmetic take the Fraction path.
+too small for int64 arithmetic take the Fraction path.  A weight-stored
+map gives the kernel its nonzero entries sqrt(A_ij) and counts the
+2 r m n - nnz zero parts of its stack without forming it.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ def log_relative_det(a, X, blocks=None):
     if X.shape != (a.size, a.size):
         raise ValueError(f"X has shape {X.shape}, expected {(a.size, a.size)}")
     total = 0.0
-    for s in cpmap._block_slices(blocks if blocks is not None else (a.size,)):
+    blocks = (a.size,) if blocks is None else tuple(blocks)
+    for s in cpmap._block_slices(blocks):
         seg, B = a[s], X[s, s]
         d = deltas(seg)
         signs, logabs = _leading_minor_logdets(B)
@@ -334,12 +338,17 @@ def bit_complexity(T, M):
     (Fraction.limit_denominator), plus ceil(log2 r + log2 m + log2 n)
     for the dimensions.  A zero entry counts one bit, 0.1 counts five.
     """
-    parts = [T.kraus.ravel().view(np.float64), M.p, M.q]
+    if isinstance(T, cpmap._WeightMap):
+        # the stack's nonzero parts are the real parts root_ij > 0
+        entries, size = T.root[T.root != 0], 2 * T.r * T.m * T.n
+    else:
+        entries = T.kraus.ravel().view(np.float64)
+        size = entries.size
     total = nonzero = 0
-    for x in _nonzero_chunks(parts):
+    for x in _nonzero_chunks([entries, M.p, M.q]):
         total += _nonzero_bits(x)
         nonzero += x.size
-    total += sum(x.size for x in parts) - nonzero  # a zero snaps to 0/1
+    total += size + M.p.size + M.q.size - nonzero  # a zero snaps to 0/1
     total += math.ceil(math.log2(T.r) + math.log2(T.m) + math.log2(T.n))
     return max(1, int(total))
 
@@ -521,25 +530,45 @@ class _Diagonal:
 
     @staticmethod
     def ds(primal, dual, M):
-        """ds_from_marginals of diagonal marginals under 1 x 1 blocks."""
+        """ds_from_marginals of diagonal marginals, given as their diagonals.
+
+        Their off-diagonal entries are exact zeros, which add nothing to
+        ds under any blocks, so only the 1 x 1 terms remain."""
         return (float(np.dot(M.p, (dual - 1.0) ** 2))
                 + float(np.dot(M.q, (primal - 1.0) ** 2)))
+
+
+def _unit_blocks(M):
+    """Whether every block of M is 1 x 1."""
+    return len(M.p_blocks) == M.n and len(M.q_blocks) == M.m
+
+
+def _weighted(T, M):
+    """Whether the loop runs T as it is stored: T is held as its weight
+    matrix (build_matrix_cpmap's maps) and every block of M is 1 x 1."""
+    return isinstance(T, cpmap._WeightMap) and _unit_blocks(M)
 
 
 def _layout(K, M):
     """The layout the alternating loop runs the (r, m, n) stack K in.
 
     _Diagonal when every block of M is 1 x 1 and every Kraus operator has
-    at most one nonzero per row and per column (build_matrix_cpmap's
-    maps), so that diagonal factors keep both marginals diagonal; else
-    _Stack.
+    at most one nonzero per row and per column (a dense-stored copy of
+    build_matrix_cpmap's maps), so that diagonal factors keep both
+    marginals diagonal; else _Stack.
     """
-    if len(M.p_blocks) < M.n or len(M.q_blocks) < M.m:
+    if not _unit_blocks(M):
         return _Stack
     nz = K != 0
     if nz.sum(axis=1).max() > 1 or nz.sum(axis=2).max() > 1:
         return _Stack
     return _Diagonal
+
+
+def _is_count(k):
+    """Whether k is a nonnegative integer that is not a bool."""
+    return (isinstance(k, numbers.Integral) and not isinstance(k, bool)
+            and k >= 0)
 
 
 def _iterate(X, M, layout=_Stack):
@@ -585,14 +614,17 @@ def estimate_capacity(T, M, budget=200):
 
     Requires strictly positive spectra and a nonnegative integer budget.
     """
-    if not (isinstance(budget, numbers.Integral) and budget >= 0):
+    if not _is_count(budget):
         raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
     cum, best = 0.0, math.inf
-    layout = _layout(T.kraus, M)
-    iterates = itertools.islice(_iterate(layout.load(T.kraus), M, layout),
-                                int(budget) + 1)
+    if _weighted(T, M):
+        layout, X = _Diagonal, T.weights
+    else:
+        layout = _layout(T.kraus, M)
+        X = layout.load(T.kraus)
+    iterates = itertools.islice(_iterate(X, M, layout), int(budget) + 1)
     # Overflowing Kraus updates are handled: the estimate then diverges.
     with np.errstate(over="ignore", invalid="ignore"):
         try:

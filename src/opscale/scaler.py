@@ -22,10 +22,15 @@ support of the spectra (a no-op on positive spectra), runs the loop on
 the raw (r, m, n) Kraus stack g0^dag T h0, or on its weight matrix when
 relmetrics._layout picks the diagonal layout, composes the last iterate
 with the start, lifts it back with the identity off the support, and
-validates only the ScalingPair it returns.  A SUCCESS is reported only
-after the returned pair's ds, recomputed once on the instance as given
-(by the dense stack product in either layout), meets the threshold (to
-a relative 1e-6); otherwise the run ends in ERROR_BUDGET.
+validates only the ScalingPair it returns.  A map held as its weight
+matrix (build_matrix_cpmap's) under 1 x 1 blocks never forms the stack:
+the loop gets the weight matrix of g0^dag T h0 and the start and the
+factors stay diagonal vectors, multiplied entrywise, until the pair.
+A SUCCESS is reported only after the returned pair's ds, recomputed
+once on the instance as given (from the stack product g^dag T h, or
+from the weight matrix of g^dag T h for a weight-stored map and a
+diagonal pair), meets the threshold (to a relative 1e-6); otherwise the
+run ends in ERROR_BUDGET.
 A run whose threshold lies below the roundoff floor of ds, about
 (m + n)^2 u^2, ends in ERROR_BUDGET at the first step whose ds is at
 that floor and not below both of the two before it, which also stops a
@@ -42,7 +47,6 @@ CapacityTrace is computed on first read.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -103,8 +107,7 @@ class SolverConfig:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie strictly between 0 and 1")
         count = self.max_iterations
-        if count is not None and not (isinstance(count, numbers.Integral)
-                                      and count >= 0):
+        if count is not None and not relmetrics._is_count(count):
             raise ValueError(
                 f"max_iterations must be a nonnegative integer, got {count!r}")
 
@@ -185,7 +188,10 @@ def project_to_support(T, M):
     emb = SupportEmbedding(p_mask, q_mask)
     if emb.full:
         return T, M, emb
-    Tr = CPMap(T.kraus[:, q_mask][:, :, p_mask])
+    if isinstance(T, cpmap._WeightMap):
+        Tr = T.restricted(q_mask, p_mask)
+    else:
+        Tr = CPMap(T.kraus[:, q_mask][:, :, p_mask])
     Mr = MarginalSpec(
         M.p[p_mask],
         M.q[q_mask],
@@ -282,10 +288,15 @@ def _resolve_budget(T, M, config, mode):
     return iteration_budget(b, *args), CapacityTrace(log_lower_bound=lower)
 
 
+def _diagonal_gaussian(rng, dim):
+    """The diagonal of _block_gaussian under 1 x 1 blocks, the same draws."""
+    z = rng.standard_normal((dim, 2))
+    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+
+
 def _block_gaussian(rng, slices, dim):
     if len(slices) == dim:  # 1 x 1 blocks: the same draws, made at once
-        z = rng.standard_normal((dim, 2))
-        return np.diag((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
+        return np.diag(_diagonal_gaussian(rng, dim))
     out = np.zeros((dim, dim), dtype=np.complex128)
     for s in slices:
         k = s.stop - s.start
@@ -295,8 +306,8 @@ def _block_gaussian(rng, slices, dim):
 
 
 def _comfortably_invertible(mat):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return sv[-1] > 1e-10 * max(1.0, sv[0])
+    smax, smin = cpmap._singular_range(mat)
+    return smin > 1e-10 * max(1.0, smax)
 
 
 def _solve(T, M, config, mode):
@@ -307,7 +318,10 @@ def _solve(T, M, config, mode):
     runs on the support-restricted Kraus stack g0^dag T h0 in normalized
     units, recording each step in the result's CapacityTrace; the last
     iterate (g, h) is returned as (g0 g, h0 h), or as the start when that
-    pair is numerically singular, lifted to the full spaces.
+    pair is numerically singular, lifted to the full spaces.  A
+    weight-stored map under 1 x 1 blocks runs as stored: the loop gets
+    the weight matrix of g0^dag T h0, and the start and the factors stay
+    diagonals, composed entrywise, until the pair is formed.
     """
     _check_instance(T, M)
     Tr, Mr, emb = project_to_support(T, M)
@@ -318,9 +332,14 @@ def _solve(T, M, config, mode):
     # The roundoff floor of ds: once each of the m^2 + n^2 marginal entries
     # is off by about one unit roundoff, ds (weights at most 1) stays below.
     floor = _UNIT_ROUNDOFF_SQ * (Mr.m + Mr.n) ** 2
-    layout = relmetrics._layout(Tr.kraus, Mr)
-    K = Tr.kraus
-    g0, h0 = (np.eye(d, dtype=np.complex128) for d in (Mr.m, Mr.n))
+    weighted = relmetrics._weighted(Tr, Mr)
+    if weighted:
+        layout, X = relmetrics._Diagonal, Tr.weights
+        g0, h0 = (np.ones(d, dtype=np.complex128) for d in (Mr.m, Mr.n))
+    else:
+        layout = relmetrics._layout(Tr.kraus, Mr)
+        K = Tr.kraus
+        g0, h0 = (np.eye(d, dtype=np.complex128) for d in (Mr.m, Mr.n))
     gh = [layout.eye(d) for d in (Mr.m, Mr.n)]  # the loop rebinds its entries
     ds_list = []
     steps = 0
@@ -330,8 +349,11 @@ def _solve(T, M, config, mode):
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "general":
             rng = np.random.default_rng(config.seed)
-            g0 = _block_gaussian(rng, Mr.q_slices(), Mr.m)
-            h0 = _block_gaussian(rng, Mr.p_slices(), Mr.n)
+            if weighted:
+                g0, h0 = (_diagonal_gaussian(rng, d) for d in (Mr.m, Mr.n))
+            else:
+                g0 = _block_gaussian(rng, Mr.q_slices(), Mr.m)
+                h0 = _block_gaussian(rng, Mr.p_slices(), Mr.n)
             if not (_comfortably_invertible(g0)
                     and _comfortably_invertible(h0)):
                 return ScalingResult(ScalingPair(np.eye(M.m), np.eye(M.n)),
@@ -340,9 +362,14 @@ def _solve(T, M, config, mode):
             # The start is comfortably invertible, so this is the product
             # cpmap.scale forms, unvalidated: overflow ends the loop at its
             # first ds.
-            K = g0.conj().T @ K @ h0
+            if weighted:
+                X = Tr.congruence_weights(g0, h0)
+            else:
+                K = g0.conj().T @ K @ h0
+        if not weighted:
+            X = layout.load(K)
         try:
-            for primal, dual, step in _iterate(layout.load(K), Mhat, layout):
+            for primal, dual, step in _iterate(X, Mhat, layout):
                 if step is not None:
                     inc, log_factor, upper = step
                     trace.append(log_factor, upper)
@@ -374,22 +401,31 @@ def _solve(T, M, config, mode):
             status = ERROR_NOT_PD
             min_eig = s * err.min_eigenvalue
         try:
-            pair = ScalingPair(g0 @ layout.matrix(gh[0]),
-                               h0 @ layout.matrix(gh[1] / math.sqrt(s)))
+            if weighted:  # (g0 g, h0 h) entrywise, not as a product
+                pair = ScalingPair(np.diag(g0 * gh[0]),
+                                   np.diag(h0 * (gh[1] / math.sqrt(s))))
+            else:
+                pair = ScalingPair(g0 @ layout.matrix(gh[0]),
+                                   h0 @ layout.matrix(gh[1] / math.sqrt(s)))
         except NotInvertible:  # singular to working precision: the start
-            pair = ScalingPair(g0, h0 @ (np.eye(Mr.n) / math.sqrt(s)))
+            if weighted:
+                pair = ScalingPair(np.diag(g0), np.diag(h0 * (1 / math.sqrt(s))))
+            else:
+                pair = ScalingPair(g0, h0 @ (np.eye(Mr.n) / math.sqrt(s)))
             if status != ERROR_NOT_PD:
                 status = ERROR_BUDGET
         if not emb.full:
             pair = lift_pair(pair, emb)
-        # The loop's ds is that of the iterated stack; once the factors are
+        # The loop's ds is that of the iterated map; once the factors are
         # ill-conditioned, g^dag T h formed from the returned pair no longer
         # reproduces it.  So a SUCCESS recomputes the pair's ds once, on
         # (T, M) as given, by the loop's own formula; an overflow fails.
+        # The marginals of a weight-stored map and its diagonal pair are
+        # diagonal, so their ds is that of the diagonal layout.
         if status == SUCCESS:
-            K = pair.g.conj().T @ T.kraus @ pair.h
-            ds = relmetrics.ds_from_marginals(
-                *cpmap._stacked_marginals(K, M.p, M.q), M)
+            primal, dual = cpmap._pair_marginals(T, pair, M.p, M.q)
+            ds = (relmetrics._Diagonal.ds(primal, dual, M) if primal.ndim == 1
+                  else relmetrics.ds_from_marginals(primal, dual, M))
             if not ds <= threshold * (1 + 1e-6):
                 status = ERROR_BUDGET
     return ScalingResult(pair, status, steps, tuple(s * d for d in ds_list),

@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,24 +8,31 @@ import pytest
 from helpers import random_complex, random_unitary, ras_scale
 from opscale import (
     AllZeroSpectrum,
+    CPMap,
     DimensionTooLarge,
     ERROR_BUDGET,
     ERROR_NOT_PD,
     ForsterInstance,
     HornInstance,
     InfeasibleInstance,
+    MarginalSpec,
     MatrixScalingInstance,
     ScalingFailure,
+    bit_complexity,
     build_horn_cpmap,
     build_matrix_cpmap,
+    decide_scalable,
+    estimate_capacity,
     forster_scale,
     horn_normalize,
     horn_solve,
     matrix_scale,
     polymatroid_membership,
+    project_to_support,
     rc_feasible,
     schur_horn,
 )
+from opscale import cli, cpmap
 from opscale.cpmap import apply, dual_apply
 
 
@@ -113,6 +123,77 @@ class TestMatrixScaling:
             matrix_scale(inst, epsilon=1e-3, max_iterations=20000)
         assert exc.value.status == ERROR_BUDGET
         assert np.isfinite(exc.value.result.pair.g).all()
+
+
+class TestWeightStoredMatrixMaps:
+    """build_matrix_cpmap holds its map as the weight matrix: the solvers,
+    the capacity estimate and the CLI never form the (r, m, n) stack."""
+
+    @pytest.fixture
+    def no_stack(self, monkeypatch):
+        def formed(T):
+            raise AssertionError(f"the Kraus stack of {T!r} was formed")
+
+        monkeypatch.setattr(cpmap._WeightMap, "kraus", property(formed))
+
+    def test_solvers_and_cli_never_form_the_stack(self, no_stack, tmp_path,
+                                                  capsys):
+        A = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 3.0], [0.0, 0.0, 0.0]])
+        r, c = np.array([1.0, 2.0, 0.0]), np.array([1.0, 1.5, 0.5])
+        sol = matrix_scale(MatrixScalingInstance(A[:2], r[:2], c), 1e-6)
+        assert sol.result.success and isinstance(sol.cpmap, CPMap)
+        # a zero row and a zero-tail spec: the support restriction too
+        M = MarginalSpec(c, r, (1,) * 3, (1,) * 3)
+        assert decide_scalable(build_matrix_cpmap(A), M, seed=2).feasible
+        M = MarginalSpec(c, r[:2], (1,) * 3, (1,) * 2)
+        assert not estimate_capacity(build_matrix_cpmap(A[:2]), M).diverged
+        path = tmp_path / "matscale.json"
+        path.write_text(json.dumps({"kind": "matscale", "matrix": A[:2].tolist(),
+                                    "row_sums": r[:2].tolist(),
+                                    "col_sums": c.tolist()}))
+        assert cli.main(["matscale", str(path), "--epsilon", "1e-6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["instance"] == {"m": 2, "n": 3, "kraus": 5}
+        assert report["capacity"]["log_lower_bound"] < 0
+
+    def test_scales_a_sparse_1000_by_1000_matrix_in_seconds(self, no_stack):
+        # 5% density and a permutation, so that the matrix is scalable: the
+        # stack would be about 50 000 x 1000 x 1000 complex entries (800 GB)
+        rng = np.random.default_rng(0)
+        n = 1000
+        A = np.where(rng.random((n, n)) < 0.05, rng.uniform(0.1, 1.0, (n, n)),
+                     0.0)
+        A[np.arange(n), rng.permutation(n)] += 1.0
+        started = time.perf_counter()
+        sol = matrix_scale(MatrixScalingInstance(A, np.ones(n), np.ones(n)),
+                           1e-2)
+        assert time.perf_counter() - started < 30.0
+        assert sol.result.success and sol.cpmap.r == np.count_nonzero(A)
+        B = sol.scaled_matrix
+        assert np.abs(B.sum(axis=1) - 1.0).max() <= 1e-2
+        assert np.abs(B.sum(axis=0) - 1.0).max() <= 1e-2
+
+    def test_stack_is_formed_on_read_with_the_dense_values(self):
+        A = np.array([[1.0, 0.0, 4.0], [0.0, 2.0, 9.0]])
+        T = build_matrix_cpmap(A)
+        assert (T.m, T.n, T.r) == (2, 3, 4) and "kraus" not in vars(T)
+        K = np.zeros((4, 2, 3), dtype=complex)
+        K[[0, 1, 2, 3], [0, 0, 1, 1], [0, 2, 1, 2]] = np.sqrt([1.0, 4.0, 2.0,
+                                                               9.0])
+        npt.assert_array_equal(T.kraus, K)
+        assert not T.kraus.flags.writeable and T.kraus is T.kraus
+
+    def test_support_restriction_keeps_every_operator(self):
+        # the restricted map's stack is the dense restriction of the stack,
+        # zero operators included, and its bit size counts them
+        A = np.array([[1.0, 0.5, 2.0], [3.0, 0.0, 0.25], [0.1, 1.0, 1.0]])
+        M = MarginalSpec([0.6, 0.4, 0.0], [1.0, 0.0, 0.0], (1,) * 3, (1,) * 3)
+        T = build_matrix_cpmap(A)
+        Tr, Mr, _ = project_to_support(T, M)
+        dense, _, _ = project_to_support(CPMap(T.kraus), M)
+        assert (Tr.m, Tr.n, Tr.r) == (1, 2, 8)
+        assert bit_complexity(Tr, Mr) == bit_complexity(dense, Mr)
+        npt.assert_array_equal(Tr.kraus, dense.kraus)
 
 
 class TestHorn:

@@ -53,6 +53,7 @@ from helpers import (
 )
 from opscale import (
     CPMap,
+    ERROR_NOT_PD,
     ForsterInstance,
     MarginalSpec,
     MatrixScalingInstance,
@@ -82,7 +83,7 @@ from opscale import (
     singular_floor,
     triangular_scale,
 )
-from opscale import cpmap, relmetrics, scaler
+from opscale import apps, cpmap, relmetrics, scaler
 from opscale.apps import _majorizes
 from opscale.cpmap import _block_plan
 from opscale.relmetrics import _iterate, _log_det
@@ -261,6 +262,33 @@ def test_general_solve_is_the_triangular_solve_from_its_start(
     assert res.pair.h.tobytes() == (h0 @ tri.pair.h).tobytes()
 
 
+# Spectrum entries with ties, rises just inside and just past the
+# tolerance 1e-12 max(1, block max), and plain reals.
+spectrum_entries = st.one_of(
+    st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1.0 + 5e-13, 1.0 + 1e-12,
+                     1.0 + 2e-12, 1.0 - 1e-12, 3.0, 3.0 + 3e-12, 3.0 + 4e-12,
+                     1e6, 1e6 + 5e-7, 1e6 + 2e-6]),
+    st.floats(0.0, 10.0))
+
+
+@given(block_structures.flatmap(lambda blocks: st.tuples(
+    st.just(blocks), st.lists(spectrum_entries, min_size=sum(blocks),
+                              max_size=sum(blocks)))))
+def test_spec_order_check_matches_per_block_loop(case):
+    blocks, values = case
+    p = np.array(values)
+    literal = not any(
+        np.any(np.diff(p[s]) > 1e-12 * max(1.0, p[s].max(initial=0.0)))
+        for s in block_slices(blocks))
+    try:
+        MarginalSpec(p, [float(p.sum())], blocks)
+        accepted = True
+    except ValueError as err:
+        assert "nonincreasing within blocks" in str(err)
+        accepted = False
+    assert accepted == literal
+
+
 @given(flag_structures, flag_structures, st.integers(-30, 30), seeds)
 def test_normalized_spec_matches_constructor(p_blocks, q_blocks, exp10, seed):
     rng = np.random.default_rng(seed)
@@ -380,50 +408,107 @@ def _dense_layout(K, M):
     return relmetrics._Stack
 
 
+def _dense_stored(A):
+    """build_matrix_cpmap(A) held as its dense (r, m, n) Kraus stack."""
+    return CPMap(build_matrix_cpmap(A).kraus)
+
+
+def matrix_instance(rng, A, zero_tails):
+    """Row and column sums for A with equal totals, as a MatrixScalingInstance
+    and as the MarginalSpec with 1 x 1 blocks that matrix_scale solves;
+    zero_tails zeroes some of them (the spec only), keeping one of each."""
+    m, n = A.shape
+    r, c = rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, n)
+    if zero_tails:
+        r[rng.random(m) < 0.3], c[rng.random(n) < 0.3] = 0.0, 0.0
+        r[0], c[0] = max(r[0], 0.5), max(c[0], 0.5)
+    c = c * (r.sum() / c.sum())
+    instance = None if zero_tails else MatrixScalingInstance(A, r, c)
+    return instance, MarginalSpec(c, r, (1,) * n, (1,) * m)
+
+
+def matrix_solver(path, A, instance, M, eps, budget, seed):
+    """(result, verdict) of one solve of A on `path`; the map is built by
+    apps.build_matrix_cpmap, so a patch of it changes how it is stored."""
+    if path == "matrix_scale":
+        try:
+            return matrix_scale(instance, eps, seed, budget).result, None
+        except ScalingFailure as err:
+            return err.result, None
+    if path == "triangular_scale":
+        config = SolverConfig(eps, max_iterations=budget)
+        return triangular_scale(apps.build_matrix_cpmap(A), M, config), None
+    verdict = decide_scalable(apps.build_matrix_cpmap(A), M, seed, budget)
+    return verdict.result, verdict.verdict
+
+
+def ds_close(ds, ref, total):
+    """ds within 1e-12 relative of ref, or within 2^-43 sqrt(total ref), the
+    first-order change of ds = sum a (x - 1)^2 under marginals x that are
+    some hundred ulps off (total the spectrum total)."""
+    ds, ref = np.array(ds), np.array(ref)
+    slack = 2.0**-43 * np.sqrt(ref * total) + 1e-26
+    return ds.shape == ref.shape and bool(np.all(np.abs(ds - ref)
+                                                 <= 1e-12 * ref + slack))
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.floats(0.2, 1.0),
        st.sampled_from(["matrix_scale", "decide_scalable"]),
        st.sampled_from([1e-2, 1e-4, 1e-6]), st.integers(0, 60), seeds)
 def test_diagonal_layout_matches_dense_stack(m, n, density, path, eps, budget,
                                              seed):
     # Matrix maps run the loop on their weight matrix; the dense-stack
-    # loop on the same map is its oracle.  The layouts round differently:
-    # their marginals agree to some hundred ulps after 60 steps, so ds, the
-    # weighted squared deviation of the marginals from I, agrees to 1e-12
-    # relative or to about 2^-43 sqrt(s ds), its first-order change (s the
-    # spectrum total).  A balanced side is the identity in the diagonal
-    # layout, so its upper estimates are 0.
+    # loop on a dense-stored copy of the map is its oracle (a weight-stored
+    # map never reaches _layout, so the copy is what the patch forces into
+    # _Stack).  The layouts round differently: their marginals agree to
+    # some hundred ulps after 60 steps, hence ds_close.  A balanced side is
+    # the identity in the diagonal layout, so its upper estimates are 0.
     rng = np.random.default_rng(seed)
     A = random_matrix(rng, m, n, density)
-    r, c = rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, n)
-    if path == "matrix_scale":
-        instance = MatrixScalingInstance(A, r, c * (r.sum() / c.sum()))
-
-        def solve():
-            try:
-                return matrix_scale(instance, eps, seed, budget).result
-            except ScalingFailure as err:
-                return err.result
-    else:
-        # zero tails on both sides exercise the support restriction
-        r[rng.random(m) < 0.3], c[rng.random(n) < 0.3] = 0.0, 0.0
-        r[0], c[0] = max(r[0], 0.5), max(c[0], 0.5)
-        M = MarginalSpec(c * (r.sum() / c.sum()), r, (1,) * n, (1,) * m)
-
-        def solve():
-            return decide_scalable(build_matrix_cpmap(A), M, seed, budget).result
-    res = solve()
-    with mock.patch.object(relmetrics, "_layout", _dense_layout):
-        dense = solve()
+    instance, M = matrix_instance(rng, A, path == "decide_scalable")
+    res, _ = matrix_solver(path, A, instance, M, eps, budget, seed)
+    calls = []
+    balance = cpmap.balance_factor
+    with mock.patch.object(apps, "build_matrix_cpmap", _dense_stored), \
+            mock.patch.object(relmetrics, "_layout", _dense_layout), \
+            mock.patch.object(cpmap, "balance_factor",
+                              lambda *args: calls.append(1) or balance(*args)):
+        dense, _ = matrix_solver(path, A, instance, M, eps, budget, seed)
+    # the oracle ran the dense loop: one balance_factor call per step taken
+    assert len(calls) >= dense.iterations + (dense.status == ERROR_NOT_PD)
     assert ((res.status, res.iterations, res.min_eigenvalue)
             == (dense.status, dense.iterations, dense.min_eigenvalue))
-    ds, ref = np.array(res.ds_trace), np.array(dense.ds_trace)
-    slack = 2.0**-43 * np.sqrt(ref * r.sum()) + 1e-26
-    assert np.all(np.abs(ds - ref) <= 1e-12 * ref + slack)
+    assert ds_close(res.ds_trace, dense.ds_trace, M.p.sum())
     npt.assert_allclose(res.capacity_trace.log_factors,
                         dense.capacity_trace.log_factors, rtol=1e-12,
                         atol=1e-13)
     assert not any(res.capacity_trace.upper_estimates)
     npt.assert_allclose(dense.capacity_trace.upper_estimates, 0.0, atol=1e-14)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.floats(0.2, 1.0),
+       st.sampled_from(["matrix_scale", "triangular_scale", "decide_scalable"]),
+       st.sampled_from([1e-2, 1e-4, 1e-6]), st.integers(0, 60), seeds)
+def test_weight_stored_map_solves_as_its_dense_stored_copy(m, n, density, path,
+                                                           eps, budget, seed):
+    # The dense-stored copy takes the diagonal layout through _layout's scan
+    # and forms its start, pair and SUCCESS re-check from the stack; the
+    # weight-stored map forms them from W and diagonal vectors.  Only the
+    # rounding of the Gaussian start's products may differ (by an ulp), so
+    # the outcome is the same and ds and the pair agree to roundoff.
+    rng = np.random.default_rng(seed)
+    A = random_matrix(rng, m, n, density)
+    instance, M = matrix_instance(rng, A, path == "decide_scalable")
+    res, verdict = matrix_solver(path, A, instance, M, eps, budget, seed)
+    with mock.patch.object(apps, "build_matrix_cpmap", _dense_stored):
+        dense, dense_verdict = matrix_solver(path, A, instance, M, eps, budget,
+                                             seed)
+    assert ((res.status, res.iterations, res.min_eigenvalue, verdict)
+            == (dense.status, dense.iterations, dense.min_eigenvalue,
+                dense_verdict))
+    assert ds_close(res.ds_trace, dense.ds_trace, M.p.sum())
+    for f, ref in ((res.pair.g, dense.pair.g), (res.pair.h, dense.pair.h)):
+        assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _count_balance_factor(monkeypatch):

@@ -116,6 +116,13 @@ class TestDecideScalable:
         verdict = decide_scalable(T, MarginalSpec(np.ones(2), np.ones(2)))
         assert verdict.feasible and verdict.result.iterations < 100
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_bool_max_iterations_is_rejected(self, count):
+        # False used to run no step and report INCONCLUSIVE
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            decide_scalable(CPMap(np.eye(2)[None]), MarginalSpec([1, 1], [1, 1]),
+                            max_iterations=count)
+
     def test_trace_mismatch_rejected(self):
         T = matrix_map([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="trace"):

@@ -245,6 +245,12 @@ class TestEstimateCapacity:
         with pytest.raises(ValueError, match="nonnegative integer"):
             estimate_capacity(T, MarginalSpec(np.ones(2), np.ones(2)), budget=budget)
 
+    @pytest.mark.parametrize("budget", [True, False])
+    def test_bool_budget_is_rejected(self, budget):
+        T = CPMap([np.eye(2)])
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            estimate_capacity(T, MarginalSpec(np.ones(2), np.ones(2)), budget=budget)
+
     def test_estimate_past_the_largest_double_is_inf(self):
         # T(P) = 1e200 I: log det(Q, T(P)) = 2 log 1e200, about 921 > 709
         est = estimate_capacity(CPMap(1e100 * np.eye(2)[None]),

@@ -59,6 +59,12 @@ class TestConfigAndBudget:
         with pytest.raises(ValueError, match="nonnegative integer"):
             SolverConfig(epsilon=0.1, max_iterations=count)
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_bool_max_iterations_is_rejected(self, count):
+        # bool is an Integral: True would run one step, False none
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            SolverConfig(epsilon=0.1, max_iterations=count)
+
     def test_numpy_integer_max_iterations_is_accepted(self):
         config = SolverConfig(epsilon=0.1, max_iterations=np.int64(3))
         assert config.max_iterations == 3
