@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from . import cpmap
+from . import relmetrics
 from .apps import (
     ForsterInstance,
     HornInstance,
@@ -350,13 +350,12 @@ _COMMANDS = {
 # Overflowing marginals are reported as null errors, not warned about.
 @np.errstate(over="ignore", invalid="ignore")
 def _marginal_errors(T, M, pair):
-    # The marginals of scale(T, pair), unvalidated; diagonal ones come as
-    # their diagonals, whose distance from the identity is the same norm.
-    def error(X):
-        return float(np.linalg.norm(X - (1.0 if X.ndim == 1 else np.eye(len(X)))))
-
-    primal, dual = cpmap._pair_marginals(T, pair, M.p, M.q)
-    return {"primal": error(primal), "dual": error(dual)}
+    # The marginals of scale(T, pair), unvalidated, in the layout of (T, M):
+    # diagonal ones come as their diagonals, at the same distance from the
+    # layout's identity.
+    layout, primal, dual = relmetrics._marginals(T, M, pair)
+    return {side: float(np.linalg.norm(X - layout.eye(len(X))))
+            for side, X in (("primal", primal), ("dual", dual))}
 
 
 def _run(args, inst):

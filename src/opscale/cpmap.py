@@ -19,13 +19,10 @@ A CPMap holds them as one read-only (r, m, n) stack.  The maps of
 build_matrix_cpmap, one operator sqrt(A_ij) e_i e_j^T per positive
 entry, are held as their weight matrix W_ij = sum_k |A_k,ij|^2 instead
 (the private subclass _WeightMap), with r, m and n; their stack is
-formed only when T.kraus is read.  The alternating loop runs W as
-stored under all-1 x 1 blocks, and every other reader of such a map
-(support projection, bit size, the Gaussian start, the SUCCESS
-re-check, the CLI's marginal errors) works on W and on diagonal
-factors.  A dense stack with at most one nonzero per row and per
-column of each operator runs the loop on its weight matrix too:
-relmetrics._layout detects it inside each solve.
+formed only when T.kraus is read.  How a map is stored decides how the
+alternating loop runs it (relmetrics._layout): a weight-stored map under
+all-1 x 1 blocks runs as W with diagonal factors, and every other map,
+a dense CPMap always, runs as its Kraus stack.
 
 The balancing primitive used by every solver finds, for positive definite
 S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
@@ -137,9 +134,10 @@ class _WeightMap(CPMap):
     Kraus operator k has the one nonzero root[i, j], k = ops[l] for the
     l-th nonzero (i, j) of root in row-major order, and r operators in
     all; cells of root without an operator are zero.  weights is the
-    weight matrix W = root^2, the bits of relmetrics._Diagonal.load on
-    the stack.  m, n and r never form the stack; kraus forms it once,
-    when read, with the values a dense CPMap of the same map holds.
+    weight matrix W = root^2: each cell has at most one operator, so
+    sum_k |K_k,ij|^2 over the stack is that one square.  m, n and r never
+    form the stack; kraus forms it once, when read, with the values a
+    dense CPMap of the same map holds.
     """
 
     def __init__(self, root, ops, r):
@@ -177,8 +175,9 @@ class _WeightMap(CPMap):
         the rounding a BLAS zgemm applies to the one nonzero term of a
         cell in its main kernel; numpy's complex multiply may fuse it
         into an FMA instead.  Kernel edge lanes may round by an ulp
-        differently, so W matches _Diagonal.load of the dense product
-        g^dag K h to roundoff, and often bit for bit.
+        differently, so W matches the squared moduli of the dense product
+        g^dag K h, summed over operators, to roundoff, and often bit for
+        bit.
         """
         xr, xi = g.real[:, None] * self.root, -g.imag[:, None] * self.root
         zr, zi = xr * h.real - xi * h.imag, xr * h.imag + xi * h.real
@@ -343,20 +342,15 @@ class ScalingPair:
         object.__setattr__(self, "h", h)
 
 
-def _is_diagonal(X):
-    """Whether every nonzero of the square matrix X is on its diagonal."""
-    return np.count_nonzero(X) == np.count_nonzero(np.diagonal(X))
-
-
 def _singular_range(X):
     """(largest, smallest) singular value of square X.
 
     A diagonal X, or a 1-d X standing for the diagonal matrix it is the
     diagonal of, has them read off |diag| instead of an SVD.
     """
-    if X.ndim == 1 or _is_diagonal(X):
-        sv = np.abs(X if X.ndim == 1 else np.diagonal(X))
-        return sv.max(), sv.min()
+    d = X if X.ndim == 1 else np.diagonal(X)
+    if np.count_nonzero(X) == np.count_nonzero(d):
+        return np.abs(d).max(), np.abs(d).min()
     sv = np.linalg.svd(X, compute_uv=False)
     return sv[0], sv[-1]
 
@@ -406,31 +400,17 @@ def _input_marginal(K, q):
     return hermitian_part(V.conj().T @ V)
 
 
-def _stacked_marginals(K, p, q):
-    """(T(diag p), T*(diag q)) for the (r, m, n) Kraus stack K."""
-    return _output_marginal(K, p), _input_marginal(K, q)
-
-
-def _pair_marginals(T, pair, p, q):
-    """(T_{g,h}(diag p), T*_{g,h}(diag q)) of scale(T, pair), unvalidated.
-
-    For a weight-stored T and a diagonal pair both are diagonal and
-    returned as 1-d diagonals, W' p and W'^T q for the weight matrix W'
-    of g^dag T h; otherwise as matrices, from the stack g^dag K h.
-    """
-    if isinstance(T, _WeightMap) and _is_diagonal(pair.g) and _is_diagonal(pair.h):
-        W = T.congruence_weights(np.diagonal(pair.g), np.diagonal(pair.h))
-        return W @ p, q @ W
-    return _stacked_marginals(pair.g.conj().T @ T.kraus @ pair.h, p, q)
+def _check_shapes(T, M):
+    if T.m != M.m or T.n != M.n:
+        raise ValueError(
+            f"map is {T.m} x {T.n} but spec asks for {M.m} x {M.n}"
+        )
 
 
 def marginals(T, M):
     """Return the pair (T(P), T*(Q)) for P = diag(p), Q = diag(q)."""
-    if M.n != T.n or M.m != T.m:
-        raise ValueError(
-            f"marginal spec ({M.m}, {M.n}) does not match map ({T.m}, {T.n})"
-        )
-    return _stacked_marginals(T.kraus, M.p, M.q)
+    _check_shapes(T, M)
+    return _output_marginal(T.kraus, M.p), _input_marginal(T.kraus, M.q)
 
 
 def singular_floor(S):

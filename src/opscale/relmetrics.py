@@ -38,17 +38,22 @@ which differs from the recomputed marginal only by roundoff.
 
 The loop reaches the map only through three operations of a layout: one
 side's marginal, the balance of a target and the congruence of the map
-by the balance factor.  The layout is picked once per run, from the
-support-restricted instance.  _Diagonal takes the maps held as their
-weight matrix (build_matrix_cpmap's, as stored: _weighted) and, by
-_layout's scan, dense cell-supported stacks (every Kraus operator with
-at most one nonzero per row and per column), both under specs whose
-blocks are all 1 x 1: there every marginal is exactly diagonal, the map
-is its weight matrix W, the marginals are W q and W^T p, the balance
-factor is 1/sqrt(S_ii), positive definiteness is min S_ii >
-singular_floor (lambda_min of a diagonal S), a congruence rescales the
-rows or the columns of W, and the balanced side is the identity.  Every
-other instance runs in _Stack, the dense (r, m, n) Kraus stack.
+by the balance factor.  One function, _layout, picks the layout from how
+the map is stored and from the blocks of the spec, and everything that
+runs or reads a map through the loop asks it: the solve body (on the
+support-restricted instance, and again on the instance as given for the
+SUCCESS re-check), estimate_capacity, ds_distance and the CLI's
+marginal errors.  _Diagonal takes a map held as its weight matrix
+(build_matrix_cpmap's) under a spec whose blocks are all 1 x 1: there
+every marginal is exactly diagonal, the map is its weight matrix W, the
+marginals are W q and W^T p, the balance factor is 1/sqrt(S_ii),
+positive definiteness is min S_ii > singular_floor (lambda_min of a
+diagonal S), a congruence rescales the rows or the columns of W, and the
+balanced side is the identity.  Every other instance, a dense-stored
+copy of such a map included, runs in _Stack, the dense (r, m, n) Kraus
+stack.  A layout also owns what a solve does differently in it: the
+Gaussian start it draws, the map g0^dag T h0 that start gives, and the
+conversion between its factors and square matrices.
 
 bit_complexity is the integer size parameter b driving the worst-case
 iteration budgets and the capacity lower bound exp(-10 b): the total bit
@@ -210,9 +215,14 @@ def ds_from_marginals(primal, dual, M):
 
 
 def ds_distance(T, M):
-    """ds_{P,Q}(T): weighted squared deviation of the marginals from I."""
-    primal, dual = cpmap.marginals(T, M)
-    return ds_from_marginals(primal, dual, M)
+    """ds_{P,Q}(T): weighted squared deviation of the marginals from I.
+
+    Evaluated in the layout _layout picks, so a weight-stored map under
+    1 x 1 blocks never forms its Kraus stack.
+    """
+    cpmap._check_shapes(T, M)
+    layout, primal, dual = _marginals(T, M)
+    return layout.ds(primal, dual, M)
 
 
 def ds_threshold(epsilon, M):
@@ -438,22 +448,42 @@ class _Stack:
     """The dense layout: the (r, m, n) Kraus stack and square factors.
 
     marginal, balance and congruence are the three operations _iterate
-    runs on a map; eye, mul and matrix compose factors, and ds, log_det
-    and above_floor read marginals.  Each is the literal dense product.
+    runs on a map; eye, mul, matrix and factor compose factors and convert
+    them, ds, log_det and above_floor read marginals, and gaussian and
+    start form a solve's start.  Each is the literal dense product.
     """
 
-    @staticmethod
-    def load(K):
-        return K
-
-    matrix = load  # a factor is its own matrix
     mul = staticmethod(np.matmul)
     log_det = staticmethod(_log_det)
     above_floor = staticmethod(cpmap._above_floor)
 
     @staticmethod
+    def matrix(f):
+        """The square matrix of the factor f, and the factor of a square
+        matrix: a factor is its own matrix."""
+        return f
+
+    factor = matrix
+
+    @staticmethod
     def eye(d):
         return np.eye(d, dtype=np.complex128)
+
+    @staticmethod
+    def gaussian(rng, slices, d):
+        """A block-diagonal d x d complex Gaussian, blocks in slice order,
+        each with standard normal real and imaginary parts over sqrt 2."""
+        out = np.zeros((d, d), dtype=np.complex128)
+        for s in slices:
+            k = s.stop - s.start
+            out[s, s] = (rng.standard_normal((k, k))
+                         + 1j * rng.standard_normal((k, k))) / math.sqrt(2.0)
+        return out
+
+    @staticmethod
+    def start(T, g, h):
+        """The stack g^dag K h of scale(T, (g, h)), unvalidated."""
+        return g.conj().T @ T.kraus @ h
 
     @staticmethod
     def marginal(K, a, output):
@@ -483,7 +513,7 @@ class _Stack:
 
 
 class _Diagonal:
-    """The diagonal layout of a cell-supported map with 1 x 1 blocks.
+    """The diagonal layout of a weight-stored map with 1 x 1 blocks.
 
     The map is its weight matrix W_ij = sum_k |K_k,ij|^2 and a factor is
     the vector of its diagonal: both marginals of every diagonal scaling
@@ -492,13 +522,22 @@ class _Diagonal:
     1/sqrt(S_ii) and its congruence a row or column rescaling of W.
     """
 
-    @staticmethod
-    def load(K):
-        return (K.real ** 2 + K.imag ** 2).sum(axis=0)
-
     matrix = staticmethod(np.diag)
+    factor = staticmethod(np.diagonal)
     mul = staticmethod(np.multiply)
     eye = staticmethod(np.ones)
+
+    @staticmethod
+    def gaussian(rng, slices, d):
+        """The diagonal of _Stack.gaussian under 1 x 1 blocks, the same
+        draws made at once."""
+        z = rng.standard_normal((d, 2))
+        return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+
+    @staticmethod
+    def start(T, g, h):
+        """The weight matrix of g^dag T h for diagonal g and h."""
+        return T.congruence_weights(g, h)
 
     @staticmethod
     def log_det(a, S, blocks):
@@ -538,31 +577,26 @@ class _Diagonal:
                 + float(np.dot(M.q, (primal - 1.0) ** 2)))
 
 
-def _unit_blocks(M):
-    """Whether every block of M is 1 x 1."""
-    return len(M.p_blocks) == M.n and len(M.q_blocks) == M.m
+def _layout(T, M):
+    """(layout, map) of the alternating loop on T under M.
 
-
-def _weighted(T, M):
-    """Whether the loop runs T as it is stored: T is held as its weight
-    matrix (build_matrix_cpmap's maps) and every block of M is 1 x 1."""
-    return isinstance(T, cpmap._WeightMap) and _unit_blocks(M)
-
-
-def _layout(K, M):
-    """The layout the alternating loop runs the (r, m, n) stack K in.
-
-    _Diagonal when every block of M is 1 x 1 and every Kraus operator has
-    at most one nonzero per row and per column (a dense-stored copy of
-    build_matrix_cpmap's maps), so that diagonal factors keep both
-    marginals diagonal; else _Stack.
+    (_Diagonal, T.weights) when T is held as its weight matrix
+    (build_matrix_cpmap's maps) and every block of M is 1 x 1, so that
+    diagonal factors keep both marginals diagonal; else (_Stack, T.kraus).
     """
-    if not _unit_blocks(M):
-        return _Stack
-    nz = K != 0
-    if nz.sum(axis=1).max() > 1 or nz.sum(axis=2).max() > 1:
-        return _Stack
-    return _Diagonal
+    if (isinstance(T, cpmap._WeightMap) and len(M.p_blocks) == M.n
+            and len(M.q_blocks) == M.m):
+        return _Diagonal, T.weights
+    return _Stack, T.kraus
+
+
+def _marginals(T, M, pair=None):
+    """(layout, T(P), T*(Q)) in the layout of (T, M), of scale(T, pair)
+    when a pair is given, unvalidated; diagonal marginals as diagonals."""
+    layout, X = _layout(T, M)
+    if pair is not None:
+        X = layout.start(T, layout.factor(pair.g), layout.factor(pair.h))
+    return layout, layout.marginal(X, M.p, True), layout.marginal(X, M.q, False)
 
 
 def _is_count(k):
@@ -619,11 +653,7 @@ def estimate_capacity(T, M, budget=200):
     if np.any(M.p <= 0) or np.any(M.q <= 0):
         raise ValueError("estimate_capacity needs nonsingular P and Q")
     cum, best = 0.0, math.inf
-    if _weighted(T, M):
-        layout, X = _Diagonal, T.weights
-    else:
-        layout = _layout(T.kraus, M)
-        X = layout.load(T.kraus)
+    layout, X = _layout(T, M)
     iterates = itertools.islice(_iterate(X, M, layout), int(budget) + 1)
     # Overflowing Kraus updates are handled: the estimate then diverges.
     with np.errstate(over="ignore", invalid="ignore"):

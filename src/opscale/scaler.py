@@ -18,19 +18,18 @@ triangular_scale starts from the identity and requires strictly positive
 spectra; general_scale handles singular targets and arbitrary instances
 from a random block-diagonal Gaussian pair, drawn once (a numerically
 singular draw ends the run).  A solve restricts the instance to the
-support of the spectra (a no-op on positive spectra), runs the loop on
-the raw (r, m, n) Kraus stack g0^dag T h0, or on its weight matrix when
-relmetrics._layout picks the diagonal layout, composes the last iterate
-with the start, lifts it back with the identity off the support, and
-validates only the ScalingPair it returns.  A map held as its weight
-matrix (build_matrix_cpmap's) under 1 x 1 blocks never forms the stack:
-the loop gets the weight matrix of g0^dag T h0 and the start and the
-factors stay diagonal vectors, multiplied entrywise, until the pair.
-A SUCCESS is reported only after the returned pair's ds, recomputed
-once on the instance as given (from the stack product g^dag T h, or
-from the weight matrix of g^dag T h for a weight-stored map and a
-diagonal pair), meets the threshold (to a relative 1e-6); otherwise the
-run ends in ERROR_BUDGET.
+support of the spectra (a no-op on positive spectra) and runs the loop on
+g0^dag T h0 in the layout relmetrics._layout picks for the restricted
+instance: the raw (r, m, n) Kraus stack, or the weight matrix of a map
+held as one (build_matrix_cpmap's) under 1 x 1 blocks, which never forms
+the stack and whose start and factors stay diagonal vectors, multiplied
+entrywise.  The layout draws the start, forms g0^dag T h0 and composes
+the factors, so the solve body reads the same in both.  It composes the
+last iterate with the start, lifts it back with the identity off the
+support, and validates only the ScalingPair it returns.  A SUCCESS is
+reported only after the returned pair's ds, recomputed once on the
+instance as given and in that instance's layout, meets the threshold (to
+a relative 1e-6); otherwise the run ends in ERROR_BUDGET.
 A run whose threshold lies below the roundoff floor of ds, about
 (m + n)^2 u^2, ends in ERROR_BUDGET at the first step whose ds is at
 that floor and not below both of the two before it, which also stops a
@@ -181,7 +180,7 @@ def project_to_support(T, M):
     Returns (restricted map, restricted spec, SupportEmbedding).  Blocks
     shrink to their positive prefixes; emptied blocks are dropped.
     """
-    _check_shapes(T, M)
+    cpmap._check_shapes(T, M)
     p_mask, q_mask = M.p > 0, M.q > 0
     if not p_mask.any() or not q_mask.any():
         raise AllZeroSpectrum("a spectrum is identically zero")
@@ -249,15 +248,8 @@ def iteration_budget(b, m, epsilon, p_min, q_min, mode="triangular", log_cap1=No
     return math.ceil(min(raw, hard_cap()))
 
 
-def _check_shapes(T, M):
-    if T.m != M.m or T.n != M.n:
-        raise ValueError(
-            f"map is {T.m} x {T.n} but spec asks for {M.m} x {M.n}"
-        )
-
-
 def _check_instance(T, M):
-    _check_shapes(T, M)
+    cpmap._check_shapes(T, M)
     if not M.trace_gap <= 1e-12 * max(1.0, float(M.p.sum())):
         raise ValueError(
             f"spectra traces differ (gap {M.trace_gap:.3e}); "
@@ -288,23 +280,6 @@ def _resolve_budget(T, M, config, mode):
     return iteration_budget(b, *args), CapacityTrace(log_lower_bound=lower)
 
 
-def _diagonal_gaussian(rng, dim):
-    """The diagonal of _block_gaussian under 1 x 1 blocks, the same draws."""
-    z = rng.standard_normal((dim, 2))
-    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-
-
-def _block_gaussian(rng, slices, dim):
-    if len(slices) == dim:  # 1 x 1 blocks: the same draws, made at once
-        return np.diag(_diagonal_gaussian(rng, dim))
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for s in slices:
-        k = s.stop - s.start
-        out[s, s] = (rng.standard_normal((k, k))
-                     + 1j * rng.standard_normal((k, k))) / math.sqrt(2.0)
-    return out
-
-
 def _comfortably_invertible(mat):
     smax, smin = cpmap._singular_range(mat)
     return smin > 1e-10 * max(1.0, smax)
@@ -315,13 +290,13 @@ def _solve(T, M, config, mode):
 
     The start (g0, h0) is the identity for "triangular" and a Gaussian
     block-diagonal pair drawn from config.seed for "general".  The loop
-    runs on the support-restricted Kraus stack g0^dag T h0 in normalized
-    units, recording each step in the result's CapacityTrace; the last
-    iterate (g, h) is returned as (g0 g, h0 h), or as the start when that
-    pair is numerically singular, lifted to the full spaces.  A
-    weight-stored map under 1 x 1 blocks runs as stored: the loop gets
-    the weight matrix of g0^dag T h0, and the start and the factors stay
-    diagonals, composed entrywise, until the pair is formed.
+    runs on the support-restricted map g0^dag T h0 in normalized units, in
+    the layout relmetrics._layout picks, recording each step in the
+    result's CapacityTrace; the last iterate (g, h) is returned as
+    (g0 g, h0 h), or as the start when that pair is numerically singular,
+    lifted to the full spaces.  Every step that differs between layouts
+    (the start's draw and map, composing and forming factors) is an
+    operation of the layout.
     """
     _check_instance(T, M)
     Tr, Mr, emb = project_to_support(T, M)
@@ -332,14 +307,8 @@ def _solve(T, M, config, mode):
     # The roundoff floor of ds: once each of the m^2 + n^2 marginal entries
     # is off by about one unit roundoff, ds (weights at most 1) stays below.
     floor = _UNIT_ROUNDOFF_SQ * (Mr.m + Mr.n) ** 2
-    weighted = relmetrics._weighted(Tr, Mr)
-    if weighted:
-        layout, X = relmetrics._Diagonal, Tr.weights
-        g0, h0 = (np.ones(d, dtype=np.complex128) for d in (Mr.m, Mr.n))
-    else:
-        layout = relmetrics._layout(Tr.kraus, Mr)
-        K = Tr.kraus
-        g0, h0 = (np.eye(d, dtype=np.complex128) for d in (Mr.m, Mr.n))
+    layout, X = relmetrics._layout(Tr, Mr)
+    g0, h0 = (layout.eye(d) for d in (Mr.m, Mr.n))
     gh = [layout.eye(d) for d in (Mr.m, Mr.n)]  # the loop rebinds its entries
     ds_list = []
     steps = 0
@@ -349,11 +318,8 @@ def _solve(T, M, config, mode):
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "general":
             rng = np.random.default_rng(config.seed)
-            if weighted:
-                g0, h0 = (_diagonal_gaussian(rng, d) for d in (Mr.m, Mr.n))
-            else:
-                g0 = _block_gaussian(rng, Mr.q_slices(), Mr.m)
-                h0 = _block_gaussian(rng, Mr.p_slices(), Mr.n)
+            g0 = layout.gaussian(rng, Mr.q_slices(), Mr.m)
+            h0 = layout.gaussian(rng, Mr.p_slices(), Mr.n)
             if not (_comfortably_invertible(g0)
                     and _comfortably_invertible(h0)):
                 return ScalingResult(ScalingPair(np.eye(M.m), np.eye(M.n)),
@@ -362,12 +328,7 @@ def _solve(T, M, config, mode):
             # The start is comfortably invertible, so this is the product
             # cpmap.scale forms, unvalidated: overflow ends the loop at its
             # first ds.
-            if weighted:
-                X = Tr.congruence_weights(g0, h0)
-            else:
-                K = g0.conj().T @ K @ h0
-        if not weighted:
-            X = layout.load(K)
+            X = layout.start(Tr, g0, h0)
         try:
             for primal, dual, step in _iterate(X, Mhat, layout):
                 if step is not None:
@@ -400,18 +361,13 @@ def _solve(T, M, config, mode):
         except NotPositiveDefinite as err:
             status = ERROR_NOT_PD
             min_eig = s * err.min_eigenvalue
+        root = math.sqrt(s)  # h takes the normalization back
         try:
-            if weighted:  # (g0 g, h0 h) entrywise, not as a product
-                pair = ScalingPair(np.diag(g0 * gh[0]),
-                                   np.diag(h0 * (gh[1] / math.sqrt(s))))
-            else:
-                pair = ScalingPair(g0 @ layout.matrix(gh[0]),
-                                   h0 @ layout.matrix(gh[1] / math.sqrt(s)))
+            pair = ScalingPair(layout.matrix(layout.mul(g0, gh[0])),
+                               layout.matrix(layout.mul(h0, gh[1] / root)))
         except NotInvertible:  # singular to working precision: the start
-            if weighted:
-                pair = ScalingPair(np.diag(g0), np.diag(h0 * (1 / math.sqrt(s))))
-            else:
-                pair = ScalingPair(g0, h0 @ (np.eye(Mr.n) / math.sqrt(s)))
+            pair = ScalingPair(layout.matrix(g0), layout.matrix(
+                layout.mul(h0, layout.eye(Mr.n) / root)))
             if status != ERROR_NOT_PD:
                 status = ERROR_BUDGET
         if not emb.full:
@@ -420,13 +376,10 @@ def _solve(T, M, config, mode):
         # ill-conditioned, g^dag T h formed from the returned pair no longer
         # reproduces it.  So a SUCCESS recomputes the pair's ds once, on
         # (T, M) as given, by the loop's own formula; an overflow fails.
-        # The marginals of a weight-stored map and its diagonal pair are
-        # diagonal, so their ds is that of the diagonal layout.
+        # It reads the marginals in the layout _layout picks for (T, M).
         if status == SUCCESS:
-            primal, dual = cpmap._pair_marginals(T, pair, M.p, M.q)
-            ds = (relmetrics._Diagonal.ds(primal, dual, M) if primal.ndim == 1
-                  else relmetrics.ds_from_marginals(primal, dual, M))
-            if not ds <= threshold * (1 + 1e-6):
+            check, primal, dual = relmetrics._marginals(T, M, pair)
+            if not check.ds(primal, dual, M) <= threshold * (1 + 1e-6):
                 status = ERROR_BUDGET
     return ScalingResult(pair, status, steps, tuple(s * d for d in ds_list),
                          threshold, config.epsilon, trace, min_eig)

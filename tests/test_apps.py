@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import random_complex, random_unitary, ras_scale
+from helpers import matrix_kraus, random_complex, random_unitary, ras_scale
 from opscale import (
     AllZeroSpectrum,
     CPMap,
@@ -22,6 +22,7 @@ from opscale import (
     build_horn_cpmap,
     build_matrix_cpmap,
     decide_scalable,
+    ds_distance,
     estimate_capacity,
     forster_scale,
     horn_normalize,
@@ -172,6 +173,18 @@ class TestWeightStoredMatrixMaps:
         B = sol.scaled_matrix
         assert np.abs(B.sum(axis=1) - 1.0).max() <= 1e-2
         assert np.abs(B.sum(axis=0) - 1.0).max() <= 1e-2
+
+    def test_ds_distance_reads_the_weight_matrix(self, no_stack):
+        # ds from W p and W^T q: the value of the dense-stored copy
+        rng = np.random.default_rng(4)
+        A = rng.uniform(0.1, 2.0, (20, 20))
+        M = MarginalSpec(rng.uniform(0.5, 1.5, 20), rng.uniform(0.5, 1.5, 20),
+                         (1,) * 20, (1,) * 20)
+        ds = ds_distance(build_matrix_cpmap(A), M)
+        dense = ds_distance(CPMap(matrix_kraus(A)), M)
+        assert abs(ds - dense) <= 1e-12 * dense
+        with pytest.raises(ValueError, match="spec asks for"):
+            ds_distance(build_matrix_cpmap(A[:19]), M)
 
     def test_stack_is_formed_on_read_with_the_dense_values(self):
         A = np.array([[1.0, 0.0, 4.0], [0.0, 2.0, 9.0]])

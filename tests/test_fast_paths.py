@@ -252,8 +252,8 @@ def test_general_solve_is_the_triangular_solve_from_its_start(
     T = random_cpmap(rng, M.m, M.n, r)
     config = SolverConfig(eps, max_iterations=budget, seed=solver_seed)
     start = np.random.default_rng(solver_seed)
-    g0 = scaler._block_gaussian(start, M.q_slices(), M.m)
-    h0 = scaler._block_gaussian(start, M.p_slices(), M.n)
+    g0 = relmetrics._Stack.gaussian(start, M.q_slices(), M.m)
+    h0 = relmetrics._Stack.gaussian(start, M.p_slices(), M.n)
     res = general_scale(T, M, config)
     tri = triangular_scale(CPMap(g0.conj().T @ T.kraus @ h0), M, config)
     assert ((res.status, res.iterations, res.ds_trace, res.min_eigenvalue)
@@ -404,10 +404,6 @@ def random_matrix(rng, m, n, density):
     return A
 
 
-def _dense_layout(K, M):
-    return relmetrics._Stack
-
-
 def _dense_stored(A):
     """build_matrix_cpmap(A) held as its dense (r, m, n) Kraus stack."""
     return CPMap(build_matrix_cpmap(A).kraus)
@@ -452,28 +448,35 @@ def ds_close(ds, ref, total):
                                                  <= 1e-12 * ref + slack))
 
 
+def _solve_both_ways(m, n, density, path, eps, budget, seed):
+    """Solve a random matrix instance as a weight-stored map and as its
+    dense-stored copy, counting the copy's balance_factor calls."""
+    rng = np.random.default_rng(seed)
+    A = random_matrix(rng, m, n, density)
+    instance, M = matrix_instance(rng, A, path == "decide_scalable")
+    res, verdict = matrix_solver(path, A, instance, M, eps, budget, seed)
+    calls = []
+    balance = cpmap.balance_factor
+    with mock.patch.object(apps, "build_matrix_cpmap", _dense_stored), \
+            mock.patch.object(cpmap, "balance_factor",
+                              lambda *args: calls.append(1) or balance(*args)):
+        dense, dense_verdict = matrix_solver(path, A, instance, M, eps, budget,
+                                             seed)
+    return M, res, verdict, dense, dense_verdict, calls
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.floats(0.2, 1.0),
        st.sampled_from(["matrix_scale", "decide_scalable"]),
        st.sampled_from([1e-2, 1e-4, 1e-6]), st.integers(0, 60), seeds)
 def test_diagonal_layout_matches_dense_stack(m, n, density, path, eps, budget,
                                              seed):
-    # Matrix maps run the loop on their weight matrix; the dense-stack
-    # loop on a dense-stored copy of the map is its oracle (a weight-stored
-    # map never reaches _layout, so the copy is what the patch forces into
-    # _Stack).  The layouts round differently: their marginals agree to
-    # some hundred ulps after 60 steps, hence ds_close.  A balanced side is
-    # the identity in the diagonal layout, so its upper estimates are 0.
-    rng = np.random.default_rng(seed)
-    A = random_matrix(rng, m, n, density)
-    instance, M = matrix_instance(rng, A, path == "decide_scalable")
-    res, _ = matrix_solver(path, A, instance, M, eps, budget, seed)
-    calls = []
-    balance = cpmap.balance_factor
-    with mock.patch.object(apps, "build_matrix_cpmap", _dense_stored), \
-            mock.patch.object(relmetrics, "_layout", _dense_layout), \
-            mock.patch.object(cpmap, "balance_factor",
-                              lambda *args: calls.append(1) or balance(*args)):
-        dense, _ = matrix_solver(path, A, instance, M, eps, budget, seed)
+    # Matrix maps run the loop on their weight matrix, with diagonal factors;
+    # a dense-stored copy of the map runs the dense-stack loop and is the
+    # oracle.  The layouts round differently: their marginals agree to some
+    # hundred ulps after 60 steps, hence ds_close.  A balanced side is the
+    # identity in the diagonal layout, so its upper estimates are 0.
+    M, res, _, dense, _, calls = _solve_both_ways(m, n, density, path, eps,
+                                                  budget, seed)
     # the oracle ran the dense loop: one balance_factor call per step taken
     assert len(calls) >= dense.iterations + (dense.status == ERROR_NOT_PD)
     assert ((res.status, res.iterations, res.min_eigenvalue)
@@ -491,18 +494,13 @@ def test_diagonal_layout_matches_dense_stack(m, n, density, path, eps, budget,
        st.sampled_from([1e-2, 1e-4, 1e-6]), st.integers(0, 60), seeds)
 def test_weight_stored_map_solves_as_its_dense_stored_copy(m, n, density, path,
                                                            eps, budget, seed):
-    # The dense-stored copy takes the diagonal layout through _layout's scan
-    # and forms its start, pair and SUCCESS re-check from the stack; the
-    # weight-stored map forms them from W and diagonal vectors.  Only the
-    # rounding of the Gaussian start's products may differ (by an ulp), so
-    # the outcome is the same and ds and the pair agree to roundoff.
-    rng = np.random.default_rng(seed)
-    A = random_matrix(rng, m, n, density)
-    instance, M = matrix_instance(rng, A, path == "decide_scalable")
-    res, verdict = matrix_solver(path, A, instance, M, eps, budget, seed)
-    with mock.patch.object(apps, "build_matrix_cpmap", _dense_stored):
-        dense, dense_verdict = matrix_solver(path, A, instance, M, eps, budget,
-                                             seed)
+    # The dense-stored copy forms its start, pair and SUCCESS re-check from
+    # the stack; the weight-stored map forms them from W and diagonal
+    # vectors.  Only the rounding of the Gaussian start's products may
+    # differ (by an ulp), so the outcome is the same and ds and the pair
+    # agree to roundoff.
+    M, res, verdict, dense, dense_verdict, _ = _solve_both_ways(
+        m, n, density, path, eps, budget, seed)
     assert ((res.status, res.iterations, res.min_eigenvalue, verdict)
             == (dense.status, dense.iterations, dense.min_eigenvalue,
                 dense_verdict))
@@ -528,13 +526,16 @@ def test_matrix_map_solve_never_calls_balance_factor(monkeypatch):
 
 
 def test_dense_map_with_unit_blocks_calls_balance_factor(monkeypatch):
-    # 1 x 1 blocks alone do not make a map cell-supported
+    # A dense CPMap runs the dense loop under 1 x 1 blocks, a Gaussian stack
+    # and a dense-stored matrix map (one nonzero per operator) alike: only
+    # a weight-stored map runs the diagonal layout
     calls = _count_balance_factor(monkeypatch)
-    rng = np.random.default_rng(3)
-    T = random_cpmap(rng, 2, 3, 2)
     M = MarginalSpec([0.5, 0.3, 0.2], [0.6, 0.4], (1, 1, 1), (1, 1))
-    res = triangular_scale(T, M, SolverConfig(1e-6, max_iterations=20))
-    assert res.iterations and len(calls) == res.iterations
+    for T in (random_cpmap(np.random.default_rng(3), 2, 3, 2),
+              _dense_stored(np.array([[1.0, 2.0, 0.5], [0.5, 1.0, 3.0]]))):
+        calls.clear()
+        res = triangular_scale(T, M, SolverConfig(1e-6, max_iterations=20))
+        assert res.iterations and len(calls) == res.iterations
 
 
 # Reals from every range the bit_complexity kernel tells apart, writing

@@ -74,6 +74,28 @@ def test_bit_complexity_has_one_definition():
     assert opscale.feasibility.bit_complexity is opscale.relmetrics.bit_complexity
 
 
+def test_weight_maps_are_type_tested_in_three_places():
+    # How a map is stored picks the loop's layout in one place,
+    # relmetrics._layout; besides it only the bit size and the support
+    # restriction read the storage.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        functions = [n for n in ast.walk(tree)
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and len(call.args) == 2
+                    and getattr(call.func, "id", None) == "isinstance"
+                    and "_WeightMap" in ast.unparse(call.args[1])):
+                continue
+            owner = max((f for f in functions
+                         if f.lineno <= call.lineno <= f.end_lineno),
+                        key=lambda f: f.lineno, default=None)
+            found.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert sorted(found) == ["relmetrics._layout", "relmetrics.bit_complexity",
+                             "scaler.project_to_support"]
+
+
 TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 

@@ -452,8 +452,8 @@ def test_unformable_last_pair_falls_back_to_the_start(monkeypatch, solve,
     g0, h0 = np.eye(Mr.m), np.eye(Mr.n)
     if solve is general_scale:
         rng = np.random.default_rng(config.seed)
-        g0 = scaler._block_gaussian(rng, Mr.q_slices(), Mr.m)
-        h0 = scaler._block_gaussian(rng, Mr.p_slices(), Mr.n)
+        g0 = relmetrics._Stack.gaussian(rng, Mr.q_slices(), Mr.m)
+        h0 = relmetrics._Stack.gaussian(rng, Mr.p_slices(), Mr.n)
     start = lift_pair(ScalingPair(g0, h0 / np.sqrt(M.p.sum())), emb)
     refused = []
 
