@@ -350,9 +350,9 @@ _COMMANDS = {
 # Overflowing marginals are reported as null errors, not warned about.
 @np.errstate(over="ignore", invalid="ignore")
 def _marginal_errors(T, M, pair):
-    # The marginals of scale(T, pair), unvalidated, in the layout of (T, M):
-    # diagonal ones come as their diagonals, at the same distance from the
-    # layout's identity.
+    # The marginals of scale(T, pair), unvalidated, in the layout of (T, M)
+    # and the pair: diagonal ones come as their diagonals, at the same
+    # distance from the layout's identity.
     layout, primal, dual = relmetrics._marginals(T, M, pair)
     return {side: float(np.linalg.norm(X - layout.eye(len(X))))
             for side, X in (("primal", primal), ("dual", dual))}

@@ -20,20 +20,25 @@ build_matrix_cpmap, one operator sqrt(A_ij) e_i e_j^T per positive
 entry, are held as their weight matrix W_ij = sum_k |A_k,ij|^2 instead
 (the private subclass _WeightMap), with r, m and n; their stack is
 formed only when T.kraus is read.  How a map is stored decides how the
-alternating loop runs it (relmetrics._layout): a weight-stored map under
-all-1 x 1 blocks runs as W with diagonal factors, and every other map,
-a dense CPMap always, runs as its Kraus stack.
+alternating loop runs it (relmetrics._layout): a weight-stored map runs
+as W with diagonal factors under all-1 x 1 blocks or when a diagonal
+pair scales it, and every other map, a dense CPMap always, runs as its
+Kraus stack.
 
 The balancing primitive used by every solver finds, for positive definite
 S, the upper-triangular g with g^dag S g = I: g = L^{-dag} for the one
 Cholesky factor L of S masked to its diagonal blocks, so g is
 block-diagonal with upper-triangular blocks.  Positive definiteness is
 tested by a Cholesky factorization of S - floor I rather than by its
-eigenvalues (_above_floor, which estimate_capacity's objective shares),
-and every factorization is one direct LAPACK zpotrf call.
+eigenvalues (_above_floor, which estimate_capacity's objective shares);
+on one block a factor g with 1/||g||_F^2 > 2 floor already decides it.
+Every factorization and inverse is one call of the gufunc that
+np.linalg.cholesky or np.linalg.inv wraps, so the loop runs in numpy's
+LAPACK and BLAS alone, without the wrappers' per-call checks.
 The flag geometry of a block structure (mask, in-block indices, ds weight
-indices) is one read-only plan, built on first use and cached, so solver
-steps do not rebuild it.
+indices) is one read-only plan, built on first use and cached, and a
+MarginalSpec computes sqrt(p), sqrt(q) and its ds weights once, so
+solver steps do not rebuild them.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
+from numpy.linalg import _umath_linalg
 
 from .exceptions import NotInvertible, NotPositiveDefinite
 
@@ -185,6 +190,12 @@ class _WeightMap(CPMap):
 
 
 @functools.lru_cache(maxsize=256)
+def _checked_sizes(blocks, total):
+    """_check_blocks of balance_factor's block sizes, once per tuple."""
+    return _check_blocks(blocks, total, "block_sizes")
+
+
+@functools.lru_cache(maxsize=256)
 def _block_slices(blocks):
     """The slices of the blocks of a block tuple, computed once per tuple."""
     stops = np.cumsum(blocks)
@@ -221,6 +232,13 @@ class _BlockPlan(NamedTuple):
     amax: np.ndarray
 
 
+def _readonly(*arrays):
+    """The arrays, made read-only, as a tuple."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @functools.lru_cache(maxsize=256)
 def _block_plan(blocks):
     """The read-only _BlockPlan of a checked block tuple, built once."""
@@ -229,11 +247,8 @@ def _block_plan(blocks):
     mask = ids[:, None] == ids[None, :]
     flat = np.flatnonzero(mask)
     rows, cols = np.divmod(flat, d)
-    plan = _BlockPlan(mask, flat, (rows == cols).astype(np.float64),
-                      np.maximum(rows, cols))
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
+    return _BlockPlan(*_readonly(mask, flat, (rows == cols).astype(np.float64),
+                                 np.maximum(rows, cols)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -298,6 +313,19 @@ class MarginalSpec:
         """|sum(p) - sum(q)|; solvers require this to vanish."""
         return abs(float(self.p.sum() - self.q.sum()))
 
+    @functools.cached_property
+    def _roots(self):
+        """(sqrt(p), sqrt(q)), the weights of the marginals' Gram factors."""
+        return _readonly(np.sqrt(self.p), np.sqrt(self.q))
+
+    @functools.cached_property
+    def _ds_weights(self):
+        """The ds weights a_max(i, j) of the in-block entries (i, j) of the
+        input side (a = p) and of the output side (a = q), in the order of
+        _block_plan(blocks).flat."""
+        return _readonly(self.p[_block_plan(self.p_blocks).amax],
+                         self.q[_block_plan(self.q_blocks).amax])
+
     def p_slices(self):
         return _block_slices(self.p_blocks)
 
@@ -342,6 +370,11 @@ class ScalingPair:
         object.__setattr__(self, "h", h)
 
 
+def _is_diagonal(X):
+    """Whether the square matrix X is zero off its diagonal."""
+    return np.count_nonzero(X) == np.count_nonzero(np.diagonal(X))
+
+
 def _singular_range(X):
     """(largest, smallest) singular value of square X.
 
@@ -349,7 +382,7 @@ def _singular_range(X):
     diagonal of, has them read off |diag| instead of an SVD.
     """
     d = X if X.ndim == 1 else np.diagonal(X)
-    if np.count_nonzero(X) == np.count_nonzero(d):
+    if X.ndim == 1 or _is_diagonal(X):
         return np.abs(d).max(), np.abs(d).min()
     sv = np.linalg.svd(X, compute_uv=False)
     return sv[0], sv[-1]
@@ -387,17 +420,30 @@ def scale(T, pair):
     return CPMap(g.conj().T @ T.kraus @ h)
 
 
-def _output_marginal(K, p):
-    """T(diag p) = B B^dag for the (r, m, n) Kraus stack K, one GEMM."""
+def _halved_hermitian(X):
+    """hermitian_part of X, formed in X (a fresh array).
+
+    Halving by * 0.5 gives the values of hermitian_part's / 2 on finite
+    entries; only the sign of an exact zero part can differ.
+    """
+    X += X.conj().T
+    X *= 0.5
+    return X
+
+
+def _output_marginal(K, root):
+    """T(diag p) = B B^dag for the (r, m, n) Kraus stack K, one GEMM;
+    root is sqrt(p)."""
     r, m, n = K.shape
-    B = (K * np.sqrt(p)).transpose(1, 0, 2).reshape(m, r * n)
-    return hermitian_part(B @ B.conj().T)
+    B = (K * root).transpose(1, 0, 2).reshape(m, r * n)
+    return _halved_hermitian(B @ B.conj().T)
 
 
-def _input_marginal(K, q):
-    """T*(diag q) = V^dag V for the (r, m, n) Kraus stack K, one GEMM."""
-    V = (np.sqrt(q)[:, None] * K).reshape(-1, K.shape[2])
-    return hermitian_part(V.conj().T @ V)
+def _input_marginal(K, root):
+    """T*(diag q) = V^dag V for the (r, m, n) Kraus stack K, one GEMM;
+    root is sqrt(q)."""
+    V = (root[:, None] * K).reshape(-1, K.shape[2])
+    return _halved_hermitian(V.conj().T @ V)
 
 
 def _check_shapes(T, M):
@@ -410,13 +456,14 @@ def _check_shapes(T, M):
 def marginals(T, M):
     """Return the pair (T(P), T*(Q)) for P = diag(p), Q = diag(q)."""
     _check_shapes(T, M)
-    return _output_marginal(T.kraus, M.p), _input_marginal(T.kraus, M.q)
+    root_p, root_q = M._roots
+    return _output_marginal(T.kraus, root_p), _input_marginal(T.kraus, root_q)
 
 
 def singular_floor(S):
     """Positive-definiteness cutoff: 1e-12 * trace(S) / dim."""
     S = np.asarray(S)
-    return 1e-12 * float(np.trace(S).real) / S.shape[0]
+    return 1e-12 * float(S.trace().real) / S.shape[0]
 
 
 def _block_diagonal(X, blocks):
@@ -424,18 +471,30 @@ def _block_diagonal(X, blocks):
     return X if len(blocks) == 1 else np.where(_block_plan(blocks).mask, X, 0.0)
 
 
+@np.errstate(all="ignore")
 def _cholesky(X):
-    """Lower Cholesky factor of Hermitian X by LAPACK zpotrf, or None.
+    """Lower Cholesky factor of Hermitian X, or None.
 
     Reads the lower triangle of X only.  None when the factorization
-    fails, i.e. X is not numerically positive definite, or when the
-    factor is not finite (zpotrf itself lets NaN through).  The factor
-    has the bits np.linalg.cholesky gives, without its wrapper cost.
+    fails, i.e. X is not numerically positive definite (the gufunc then
+    returns NaN), or when the factor is not finite (LAPACK itself lets
+    NaN through).  The factor has the bits np.linalg.cholesky gives,
+    without its wrapper cost; its diagonal is real and at most
+    sqrt(max X_ii), so its sum is finite exactly when every entry is.
     """
-    L, info = scipy.linalg.lapack.zpotrf(X, lower=1, clean=1)
-    if info or not np.isfinite(L.diagonal()).all():
-        return None
-    return L
+    L = _umath_linalg.cholesky_lo(X, signature="D->D")
+    return L if math.isfinite(L.diagonal().real.sum()) else None
+
+
+@np.errstate(all="ignore")
+def _upper_inverse(U):
+    """U^{-1} for upper-triangular U with a positive finite diagonal.
+
+    The LU inverse np.linalg.inv wraps, without its wrapper cost: the
+    column below each pivot is exactly zero, so it never pivots and the
+    inverse keeps U's exact zeros.
+    """
+    return _umath_linalg.inv(U, signature="D->D")
 
 
 def balance_factor(S, block_sizes=None):
@@ -458,26 +517,27 @@ def balance_factor(S, block_sizes=None):
         breakdown.  The test is one Cholesky factorization of the whole
         of S - floor I; eigvalsh runs only when that fails, to report the
         smallest eigenvalue (NaN for a non-finite S) and to overrule a
-        failure inside the roundoff band of the factorization.
+        failure inside the roundoff band of the factorization.  With one
+        block, a factor g with 1/||g||_F^2 > 2 floor passes S without
+        that factorization: 1/||g||_F^2 is a lower bound on lambda_min(S).
     """
-    S = hermitian_part(np.asarray(S, dtype=np.complex128))
+    S = _halved_hermitian(np.array(S, dtype=np.complex128))
     d = S.shape[0]
-    blocks = (d,) if block_sizes is None else _check_blocks(block_sizes, d,
-                                                            "block_sizes")
-    if not _above_floor(S):
-        raise NotPositiveDefinite(_min_eigenvalue(S))
+    blocks = (d,) if block_sizes is None else _checked_sizes(
+        tuple(block_sizes), d)
     L = _cholesky(_block_diagonal(S, blocks))
-    if L is None:
-        raise NotPositiveDefinite(_min_eigenvalue(S))
-    # L^{-1} by the LAPACK call that scipy.linalg.solve_triangular(L, I,
-    # lower=True) makes for a C-ordered L: (L^T)^T X = I, L^T upper.
-    Linv, info = scipy.linalg.lapack.ztrtrs(L.T, _identity(d), lower=0, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return Linv.conj().T
+    if L is not None:
+        g = _upper_inverse(L.conj().T)
+        # For one block lambda_min(S) >= 1/||g||_2^2 >= 1/||g||_F^2 up to
+        # the roundoff of L, so 1/||g||_F^2 > 2 floor decides as the test
+        # of S - floor I would, without that factorization.
+        if len(blocks) == 1:
+            v = g.ravel().view(np.float64)
+            if 2.0 * singular_floor(S) * float(v @ v) < 1.0:
+                return g
+        if _above_floor(S):
+            return g
+    raise NotPositiveDefinite(_min_eigenvalue(S))
 
 
 def _above_floor(S):

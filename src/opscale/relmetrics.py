@@ -44,8 +44,9 @@ runs or reads a map through the loop asks it: the solve body (on the
 support-restricted instance, and again on the instance as given for the
 SUCCESS re-check), estimate_capacity, ds_distance and the CLI's
 marginal errors.  _Diagonal takes a map held as its weight matrix
-(build_matrix_cpmap's) under a spec whose blocks are all 1 x 1: there
-every marginal is exactly diagonal, the map is its weight matrix W, the
+(build_matrix_cpmap's) under a spec whose blocks are all 1 x 1, or
+scaled by a diagonal pair under any blocks: there every marginal is
+exactly diagonal, the map is its weight matrix W, the
 marginals are W q and W^T p, the balance factor is 1/sqrt(S_ii),
 positive definiteness is min S_ii > singular_floor (lambda_min of a
 diagonal S), a congruence rescales the rows or the columns of W, and the
@@ -197,11 +198,13 @@ def rel_det_multiplicativity_check(a, X, h):
     return close(lhs1, rhs1) and close(lhs2, rhs2) and close(lhs3, rhs3)
 
 
-def _flag_weighted_sq(X, a, blocks):
-    """sum of a_max(i,j) |(X - I)_ij|^2 over the entries inside the blocks."""
+def _flag_weighted_sq(X, weights, blocks):
+    """sum of a_max(i,j) |(X - I)_ij|^2 over the entries inside the blocks,
+    given their weights a_max(i,j) (MarginalSpec._ds_weights)."""
     plan = cpmap._block_plan(blocks)
-    dev = X.ravel()[plan.flat] - plan.eye
-    return float(np.dot(a[plan.amax], np.abs(dev) ** 2))
+    # one block holds every entry, in order: no gather
+    dev = (X.ravel() if len(blocks) == 1 else X.ravel()[plan.flat]) - plan.eye
+    return float(np.dot(weights, np.abs(dev) ** 2))
 
 
 def ds_from_marginals(primal, dual, M):
@@ -210,8 +213,9 @@ def ds_from_marginals(primal, dual, M):
     dual = np.asarray(dual, dtype=np.complex128)
     if dual.shape != (M.n, M.n) or primal.shape != (M.m, M.m):
         raise ValueError("marginal shapes do not match the spec")
-    return (_flag_weighted_sq(dual, M.p, M.p_blocks)
-            + _flag_weighted_sq(primal, M.q, M.q_blocks))
+    wp, wq = M._ds_weights
+    return (_flag_weighted_sq(dual, wp, M.p_blocks)
+            + _flag_weighted_sq(primal, wq, M.q_blocks))
 
 
 def ds_distance(T, M):
@@ -476,8 +480,8 @@ class _Stack:
         out = np.zeros((d, d), dtype=np.complex128)
         for s in slices:
             k = s.stop - s.start
-            out[s, s] = (rng.standard_normal((k, k))
-                         + 1j * rng.standard_normal((k, k))) / math.sqrt(2.0)
+            z = rng.standard_normal((2, k, k))  # real, then imaginary part
+            out[s, s] = (z[0] + 1j * z[1]) / math.sqrt(2.0)
         return out
 
     @staticmethod
@@ -486,10 +490,11 @@ class _Stack:
         return g.conj().T @ T.kraus @ h
 
     @staticmethod
-    def marginal(K, a, output):
-        """T(diag a) on the output side, T*(diag a) on the input side."""
-        return (cpmap._output_marginal(K, a) if output
-                else cpmap._input_marginal(K, a))
+    def marginal(K, M, output):
+        """T(P) on the output side, T*(Q) on the input side."""
+        root_p, root_q = M._roots
+        return (cpmap._output_marginal(K, root_p) if output
+                else cpmap._input_marginal(K, root_q))
 
     @staticmethod
     def balance(S, a, blocks):
@@ -548,8 +553,8 @@ class _Diagonal:
         return S.min() > 1e-12 * float(S.sum()) / S.size
 
     @staticmethod
-    def marginal(W, a, output):
-        return W @ a if output else a @ W
+    def marginal(W, M, output):
+        return W @ M.p if output else M.q @ W
 
     @staticmethod
     def balance(S, a, blocks):
@@ -577,15 +582,19 @@ class _Diagonal:
                 + float(np.dot(M.q, (primal - 1.0) ** 2)))
 
 
-def _layout(T, M):
+def _layout(T, M, pair=None):
     """(layout, map) of the alternating loop on T under M.
 
     (_Diagonal, T.weights) when T is held as its weight matrix
-    (build_matrix_cpmap's maps) and every block of M is 1 x 1, so that
-    diagonal factors keep both marginals diagonal; else (_Stack, T.kraus).
+    (build_matrix_cpmap's maps) and its factors are diagonal: those of
+    the loop when every block of M is 1 x 1, or else both factors of the
+    given pair.  Diagonal factors keep both marginals diagonal, and ds
+    and the marginal errors of diagonal marginals do not depend on the
+    blocks.  Else (_Stack, T.kraus).
     """
-    if (isinstance(T, cpmap._WeightMap) and len(M.p_blocks) == M.n
-            and len(M.q_blocks) == M.m):
+    if isinstance(T, cpmap._WeightMap) and (
+            (len(M.p_blocks) == M.n and len(M.q_blocks) == M.m) if pair is None
+            else (cpmap._is_diagonal(pair.g) and cpmap._is_diagonal(pair.h))):
         return _Diagonal, T.weights
     return _Stack, T.kraus
 
@@ -593,10 +602,10 @@ def _layout(T, M):
 def _marginals(T, M, pair=None):
     """(layout, T(P), T*(Q)) in the layout of (T, M), of scale(T, pair)
     when a pair is given, unvalidated; diagonal marginals as diagonals."""
-    layout, X = _layout(T, M)
+    layout, X = _layout(T, M, pair)
     if pair is not None:
         X = layout.start(T, layout.factor(pair.g), layout.factor(pair.h))
-    return layout, layout.marginal(X, M.p, True), layout.marginal(X, M.q, False)
+    return layout, layout.marginal(X, M, True), layout.marginal(X, M, False)
 
 
 def _is_count(k):
@@ -617,7 +626,7 @@ def _iterate(X, M, layout=_Stack):
     other is computed from the rescaled map.  A step runs only on next()
     and raises NotPositiveDefinite when its target cannot be balanced.
     """
-    primal, dual = layout.marginal(X, M.p, True), layout.marginal(X, M.q, False)
+    primal, dual = layout.marginal(X, M, True), layout.marginal(X, M, False)
     step = None
     for j in itertools.count():
         yield primal, dual, step
@@ -628,9 +637,9 @@ def _iterate(X, M, layout=_Stack):
         step = inc, log_factor, upper
         X = layout.congruence(X, inc, output)
         if output:
-            primal, dual = balanced, layout.marginal(X, M.q, False)
+            primal, dual = balanced, layout.marginal(X, M, False)
         else:
-            primal, dual = layout.marginal(X, M.p, True), balanced
+            primal, dual = layout.marginal(X, M, True), balanced
 
 
 def estimate_capacity(T, M, budget=200):

@@ -28,8 +28,10 @@ the factors, so the solve body reads the same in both.  It composes the
 last iterate with the start, lifts it back with the identity off the
 support, and validates only the ScalingPair it returns.  A SUCCESS is
 reported only after the returned pair's ds, recomputed once on the
-instance as given and in that instance's layout, meets the threshold (to
-a relative 1e-6); otherwise the run ends in ERROR_BUDGET.
+instance as given and in the layout _layout picks for it and the pair
+(so a weight-stored map scaled by a diagonal pair is read as W under any
+blocks), meets the threshold (to a relative 1e-6); otherwise the run
+ends in ERROR_BUDGET.
 A run whose threshold lies below the roundoff floor of ds, about
 (m + n)^2 u^2, ends in ERROR_BUDGET at the first step whose ds is at
 that floor and not below both of the two before it, which also stops a
@@ -280,6 +282,15 @@ def _resolve_budget(T, M, config, mode):
     return iteration_budget(b, *args), CapacityTrace(log_lower_bound=lower)
 
 
+def _frobenius(x):
+    """np.linalg.norm(x) of a real or complex array, by that function's
+    own formula without its wrapper."""
+    x = x.ravel()
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
 def _comfortably_invertible(mat):
     smax, smin = cpmap._singular_range(mat)
     return smin > 1e-10 * max(1.0, smax)
@@ -340,7 +351,7 @@ def _solve(T, M, config, mode):
                     # changed) leaves the representable range, keeping the
                     # current factors so later compositions stay finite.
                     new = layout.mul(gh[steps % 2], inc)
-                    if not np.linalg.norm(new) < _FACTOR_CAP:
+                    if not _frobenius(new) < _FACTOR_CAP:
                         status = ERROR_BUDGET
                         break
                     gh[steps % 2] = new
@@ -376,7 +387,8 @@ def _solve(T, M, config, mode):
         # ill-conditioned, g^dag T h formed from the returned pair no longer
         # reproduces it.  So a SUCCESS recomputes the pair's ds once, on
         # (T, M) as given, by the loop's own formula; an overflow fails.
-        # It reads the marginals in the layout _layout picks for (T, M).
+        # It reads the marginals in the layout _layout picks for (T, M) and
+        # the pair.
         if status == SUCCESS:
             check, primal, dual = relmetrics._marginals(T, M, pair)
             if not check.ds(primal, dual, M) <= threshold * (1 + 1e-6):

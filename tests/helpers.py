@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from opscale import (
     CPMap,
@@ -189,7 +188,7 @@ def ds_masked_literal(primal, dual, M):
 
 
 def balance_factor_literal(S, blocks):
-    """L^{-dag} for the block-masked Cholesky factor L, by solve_triangular."""
+    """L^{-dag} for the block-masked Cholesky factor L, by np.linalg.inv."""
     S = np.asarray(S, dtype=np.complex128)
     S = (S + S.conj().T) / 2
     d = S.shape[0]
@@ -197,9 +196,7 @@ def balance_factor_literal(S, blocks):
     if not min_eig > max(1e-12 * float(np.trace(S).real) / d, 0.0):
         raise NotPositiveDefinite(min_eig)
     L = np.linalg.cholesky(np.where(block_mask_literal(blocks), S, 0.0))
-    Linv = scipy.linalg.solve_triangular(L, np.eye(d, dtype=np.complex128),
-                                         lower=True)
-    return Linv.conj().T
+    return np.linalg.inv(L.conj().T)
 
 
 def alternate_literal(T, M, epsilon, budget):

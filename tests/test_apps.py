@@ -18,6 +18,7 @@ from opscale import (
     MarginalSpec,
     MatrixScalingInstance,
     ScalingFailure,
+    SolverConfig,
     bit_complexity,
     build_horn_cpmap,
     build_matrix_cpmap,
@@ -25,6 +26,7 @@ from opscale import (
     ds_distance,
     estimate_capacity,
     forster_scale,
+    general_scale,
     horn_normalize,
     horn_solve,
     matrix_scale,
@@ -185,6 +187,16 @@ class TestWeightStoredMatrixMaps:
         assert abs(ds - dense) <= 1e-12 * dense
         with pytest.raises(ValueError, match="spec asks for"):
             ds_distance(build_matrix_cpmap(A[:19]), M)
+
+    def test_success_check_reads_the_weight_matrix_under_wider_blocks(
+            self, no_stack):
+        # blocks (1, 2) shrink to 1 x 1 on the support, so the loop runs on
+        # W; its pair is diagonal, so the SUCCESS re-check on the instance
+        # as given reads W too
+        A = np.array([[1.0, 2.0, 0.5], [0.5, 1.0, 3.0], [1.0, 0.2, 1.0]])
+        M = MarginalSpec([0.6, 0.4, 0.0], [0.5, 0.5, 0.0], (1, 2), (1, 2))
+        assert general_scale(build_matrix_cpmap(A), M,
+                             SolverConfig(1e-6)).success
 
     def test_stack_is_formed_on_read_with_the_dense_values(self):
         A = np.array([[1.0, 0.0, 4.0], [0.0, 2.0, 9.0]])

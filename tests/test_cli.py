@@ -569,6 +569,35 @@ class TestMainErrors:
         assert "error" in capsys.readouterr().err
 
 
+def test_blas_thread_count_keeps_the_outcome(tmp_path):
+    # BLAS splits large products differently per thread count, so the
+    # last digits of final_ds may move; exit code, status and
+    # iterations may not
+    rng = np.random.default_rng(64)
+    data = {"kind": "cpmap",
+            "kraus": [np.stack([A.real, A.imag], -1).tolist()
+                      for A in random_kraus(rng, 64, 64, 16)],
+            "p": spectrum(rng, 64, floor=0.01).tolist(),
+            "q": spectrum(rng, 64, floor=0.01).tolist()}
+    path = write_instance(tmp_path, data)
+    src = str(Path(opscale.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opscale.cli", "scale", path,
+             "--epsilon", "1e-8"],
+            capture_output=True, text=True, timeout=120, env=env)
+        runs.append((proc.returncode, json.loads(proc.stdout)))
+    (code1, one), (code2, two) = runs
+    assert code1 == code2 == 0
+    assert (one["status"], one["iterations"]) == (two["status"],
+                                                  two["iterations"])
+    npt.assert_allclose(two["final_ds"], one["final_ds"], rtol=1e-6)
+
+
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
     # main builds its parser once per process; runs through it must print
     # what runs through a freshly built parser print.

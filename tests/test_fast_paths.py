@@ -2,9 +2,12 @@
 
 The oracles are the literal definitions: corner sums for ds
 (helpers.ds_literal), one slogdet per leading minor for the relative
-determinant (log_relative_det), the per-call mask, weight and
-solve_triangular code that the cached flag plan and the direct LAPACK
-solve replace (exact equality), the Kraus-by-Kraus loops of
+determinant (log_relative_det), the per-call mask and weight code that
+the cached flag plan replaces and the np.linalg wrappers of the gufuncs
+the balance factor calls (exact equality), scipy's solve_triangular for
+its LU inverse (to the condition number), the Cholesky test of
+S - floor I for the factor bound that can skip it, two draws per block
+for the Gaussian start's one, the Kraus-by-Kraus loops of
 apply / dual_apply for the marginals, one Fraction per entry for
 bit_complexity (helpers.bit_complexity_literal) and for the budgets it
 feeds when the lower-bound shortcut skips it, per-operator loops for
@@ -30,6 +33,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from helpers import (
@@ -163,6 +167,90 @@ def test_balance_factor_matches_solve_triangular_exactly(blocks, exp10, seed):
     S = random_pd(rng, sum(blocks)) * 10.0**exp10
     npt.assert_array_equal(balance_factor(S, blocks),
                            balance_factor_literal(S, blocks))
+
+
+@given(flag_structures, st.integers(-200, 200),
+       st.sampled_from([1e-1, 1e-4, 1e-8]), seeds)
+def test_balance_factor_agrees_with_solve_triangular(blocks, exp10, floor,
+                                                     seed):
+    # The LU inverse of L^dag against the triangular solve, to the forward
+    # error a condition number allows
+    rng = np.random.default_rng(seed)
+    d = sum(blocks)
+    S = random_pd(rng, d, floor) * 10.0**exp10
+    L = np.linalg.cholesky(np.where(block_mask_literal(blocks), S, 0.0))
+    expected = scipy.linalg.solve_triangular(
+        L, np.eye(d, dtype=np.complex128), lower=True).conj().T
+    bound = 4 * d * np.linalg.cond(L) * 2.0**-52 * np.abs(expected).max()
+    assert np.abs(balance_factor(S, blocks) - expected).max() <= bound
+
+
+@given(st.integers(1, 8), st.integers(-200, 200), seeds)
+def test_factorizations_have_the_bits_of_numpy_wrappers(d, exp10, seed):
+    # cpmap calls the gufuncs under np.linalg.cholesky and np.linalg.inv
+    rng = np.random.default_rng(seed)
+    S = cpmap.hermitian_part(random_pd(rng, d) * 10.0**exp10)
+    L = cpmap._cholesky(S)
+    assert L.tobytes() == np.linalg.cholesky(S).tobytes()
+    assert (balance_factor(S).tobytes()
+            == np.linalg.inv(L.conj().T).tobytes())
+    A = random_complex(rng, (d, d + 1))
+    singular = A[:, :-2] @ A[:, :-2].conj().T if d > 1 else np.zeros((1, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular - np.eye(d))
+    assert cpmap._cholesky(singular - np.eye(d)) is None
+
+
+@given(st.integers(1, 8),
+       st.one_of(st.floats(-0.5, 3.0),
+                 st.sampled_from([-1e-3, 1e-3, 0.99, 1.0, 1.01])), seeds)
+def test_factor_bound_decides_as_the_floor_test(d, delta, seed):
+    # On one block balance_factor accepts S when its factor g has
+    # 1/||g||_F^2 > 2 floor, without factoring S - floor I; it must accept
+    # exactly the S that the test of S - floor I and the factorization of S
+    # accept.  lambda_min(S) = floor (1 + delta), other eigenvalues in [1, 2],
+    # puts S on both sides of the floor and of twice the floor
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(1.0, 2.0, d - 1)
+    c = 1e-12 * (1.0 + delta) / d
+    lam = np.append(rest, c * rest.sum() / (1.0 - c)) if d > 1 else [1.0]
+    U = random_unitary(rng, d)
+    S = cpmap.hermitian_part((U * lam) @ U.conj().T)
+    accepted = cpmap._above_floor(S) and cpmap._cholesky(S) is not None
+    try:
+        balance_factor(S)
+    except NotPositiveDefinite:
+        assert not accepted
+    else:
+        assert accepted
+
+
+@given(flag_structures, seeds)
+def test_gaussian_start_draws_each_block_at_once(blocks, seed):
+    # one (2, k, k) draw per block has the bits of a (k, k) draw of the
+    # real part followed by one of the imaginary part
+    d = sum(blocks)
+    rng = np.random.default_rng(seed)
+    expected = np.zeros((d, d), dtype=np.complex128)
+    for s in block_slices(blocks):
+        k = s.stop - s.start
+        expected[s, s] = (rng.standard_normal((k, k))
+                          + 1j * rng.standard_normal((k, k))) / math.sqrt(2.0)
+    drawn = relmetrics._Stack.gaussian(np.random.default_rng(seed),
+                                       block_slices(blocks), d)
+    assert drawn.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_factor_cap_norm_is_numpys(dtype):
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal((5, 5)) * 1e150, rng.standard_normal(7),
+              np.full((2, 2), np.inf), np.array([np.nan, 1.0]), np.zeros(3)):
+        x = x.astype(dtype)
+        if dtype is np.complex128:
+            x.imag = x[::-1].real
+        assert scaler._frobenius(x) == np.linalg.norm(x) or (
+            math.isnan(scaler._frobenius(x)) and math.isnan(np.linalg.norm(x)))
 
 
 @given(flag_structures, seeds)

@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +71,19 @@ def test_modules_import_only_lower_ranks():
                 for target in _package_modules(node):
                     assert RANK[target] < RANK[path.stem], (
                         f"{path.stem} imports {target}")
+
+
+def test_import_loads_no_scipy():
+    # One LAPACK and one BLAS thread pool per process: numpy's
+    src = str(pathlib.Path(opscale.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, opscale, opscale.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bit_complexity_has_one_definition():

@@ -295,8 +295,9 @@ class TestGeneralScale:
 
     def test_zero_threshold_stops_once_ds_stops_decreasing(self):
         # eps^2 underflows to 0, which this instance reaches only in exact
-        # arithmetic: the run ends at the roundoff floor of ds, where a step
-        # first fails to decrease it, instead of spending the budget
+        # arithmetic: the run ends at the roundoff floor of ds (16 u^2 on
+        # its 2 x 2 support, spectra summing to 1) by the stopping rule,
+        # instead of spending the budget
         rng = np.random.default_rng(19)
         T = random_cpmap(rng, 3, 3, 4)
         M = MarginalSpec([0.6, 0.4, 0.0], [0.5, 0.5, 0.0])
@@ -305,8 +306,7 @@ class TestGeneralScale:
         assert res.status == ERROR_BUDGET and res.threshold == 0.0
         ds = res.ds_trace
         assert 0 < res.iterations < 1000 and len(ds) == res.iterations + 1
-        assert all(a > b for a, b in zip(ds[:-2], ds[1:-1]))
-        assert 0.0 < ds[-2] <= ds[-1] < 1e-20
+        assert _ends_by_the_floor_rule(ds, 16 * 2.0**-106)
 
 
 class TestSupportProjection:
@@ -572,18 +572,26 @@ def test_success_certifies_the_returned_pair(seed, epsilon):
     assert np.linalg.norm(gram - np.diag(inst.spectrum)) <= epsilon
 
 
+def _ends_by_the_floor_rule(ds, floor):
+    """Whether the ds trace ends at its first ds at or below `floor` that is
+    not below both of the two ds before it, the README's stopping rule."""
+    stops = [k > 0 and min(ds[max(k - 2, 0):k]) <= ds[k] <= floor
+             for k in range(len(ds))]
+    return stops[-1] and not any(stops[:-1])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_threshold_below_the_roundoff_floor_stops_there(seed):
     # eps = 1e-100 gives a threshold of 5e-201, which no double-precision
     # marginal can reach: ds stalls near u^2 (u = 2^-53), and the run ends
-    # at the first step that fails to decrease it there, not at the cap
+    # there by the stopping rule (floor 16 u^2 at m + n = 4), not at the cap
     T = random_cpmap(np.random.default_rng(seed), 2, 2, 2)
     M = MarginalSpec([0.6, 0.4], [0.5, 0.5])
     res = triangular_scale(T, M, SolverConfig(1e-100))
     assert res.status == ERROR_BUDGET and 0 < res.threshold < 1e-200
     ds = res.ds_trace
     assert res.iterations < 1000 and len(ds) == res.iterations + 1
-    assert ds[-2] <= ds[-1] <= 16 * 2.0**-106
+    assert _ends_by_the_floor_rule(ds, 16 * 2.0**-106)
     # at eps = 1e-7 the same map succeeds, far above the floor
     assert triangular_scale(T, M, SolverConfig(1e-7)).success
 
