@@ -70,7 +70,7 @@ __all__ = [
 
 def _finite(a, name, dtype=np.float64):
     a = np.asarray(a, dtype=dtype)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -157,13 +157,13 @@ def build_matrix_cpmap(A):
     T.kraus is read.
     """
     A = _finite(A, "matrix")
-    if np.any(A < 0):
+    if (A < 0).any():
         raise ValueError("matrix entries must be nonnegative")
-    rows, cols = np.nonzero(A > 0)
+    positive = A > 0
+    rows, _ = np.nonzero(positive)
     if not rows.size:
         raise ValueError("matrix has no positive entries")
-    root = np.zeros(A.shape)
-    root[rows, cols] = np.sqrt(A[rows, cols])
+    root = np.sqrt(A, out=np.zeros(A.shape), where=positive)
     return _WeightMap(root, np.arange(rows.size), rows.size)
 
 

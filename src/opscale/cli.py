@@ -141,16 +141,32 @@ def _build_horn(spectra=None, alpha=None, beta=None, gamma=None):
     return {"instance": None, "abc": (alpha, beta, gamma)}
 
 
+def _array(obj, ndim, dtype):
+    """obj as a finite ndim-d array of dtype by one conversion, or None
+    where the per-number reader must decide (mixed complex forms too)."""
+    try:
+        a = np.array(obj)
+    except ValueError:  # ragged
+        return None
+    if a.dtype.kind not in "if" or not a.size:
+        return None
+    if dtype is np.complex128 and a.ndim == ndim + 1 and a.shape[-1] == 2:
+        a = a.astype(np.float64).view(np.complex128)[..., 0]
+    a = a.astype(dtype)
+    return a if a.ndim == ndim and np.isfinite(a).all() else None
+
+
 _complex_matrix = _matrix(_complex_entry)
 
-# How each field is read; every field not named here is a real vector.
+# field: (per-number reader, array rank, dtype); others are real vectors.
 _FIELDS = {
-    "kraus": lambda obj, where: _each(obj, where, _complex_matrix),
-    "matrix": _matrix(_number),
-    "vectors": _complex_matrix,
-    "spectra": lambda obj, where: _each(obj, where, _vector),
-    "p_blocks": _blocks,
-    "q_blocks": _blocks,
+    "kraus": (lambda obj, where: _each(obj, where, _complex_matrix),
+              3, np.complex128),
+    "matrix": (_matrix(_number), 2, np.float64),
+    "vectors": (_complex_matrix, 2, np.complex128),
+    "spectra": (lambda obj, where: _each(obj, where, _vector), 2, np.float64),
+    "p_blocks": (_blocks, None, None),
+    "q_blocks": (_blocks, None, None),
 }
 
 # kind: (builder, required fields, optional fields).  The builder gets the
@@ -176,7 +192,10 @@ _SCHEMAS = {
 
 
 def parse_instance(text):
-    """Parse instance JSON into domain objects; ParseError/SchemaError on bad input."""
+    """Parse instance JSON into domain objects; ParseError/SchemaError on bad input.
+
+    A numeric field is one _array conversion; the per-number readers run
+    where it refuses, or on a text that may hold a bool, which numpy reads."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -195,10 +214,13 @@ def parse_instance(text):
     if required is None and len(choices) > 1:
         raise SchemaError(f"{kind}: provide either " + " or ".join(
             "/".join(map(repr, c)) for c in choices))
+    fast = isinstance(text, str) and "true" not in text and "false" not in text
     fields = {}
     for field in (required or choices[0]) + optional:
         if field in data:
-            fields[field] = _FIELDS.get(field, _vector)(data[field], field)
+            read, ndim, dtype = _FIELDS.get(field, (_vector, 1, np.float64))
+            value = _array(data[field], ndim, dtype) if fast and ndim else None
+            fields[field] = read(data[field], field) if value is None else value
         elif field not in optional:
             raise SchemaError(f"{kind}: missing required field {field!r}")
     try:

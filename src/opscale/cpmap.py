@@ -32,13 +32,13 @@ block-diagonal with upper-triangular blocks.  Positive definiteness is
 tested by a Cholesky factorization of S - floor I rather than by its
 eigenvalues (_above_floor, which estimate_capacity's objective shares);
 on one block a factor g with 1/||g||_F^2 > 2 floor already decides it.
-Every factorization and inverse is one call of the gufunc that
-np.linalg.cholesky or np.linalg.inv wraps, so the loop runs in numpy's
-LAPACK and BLAS alone, without the wrappers' per-call checks.
+Every factorization and inverse is one call of the gufunc under
+np.linalg.cholesky or np.linalg.inv, without the wrappers' per-call
+checks (a numpy without those gufuncs runs the wrappers).
 The flag geometry of a block structure (mask, in-block indices, ds weight
 indices) is one read-only plan, built on first use and cached, and a
-MarginalSpec computes sqrt(p), sqrt(q) and its ds weights once, so
-solver steps do not rebuild them.
+MarginalSpec computes sqrt(p), sqrt(q), its ds weights and its
+normalized copy once, so solver steps and solves do not rebuild them.
 """
 
 from __future__ import annotations
@@ -49,9 +49,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .exceptions import NotInvertible, NotPositiveDefinite
+
+try:  # private to numpy; absent, the public wrappers run instead
+    from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, inv as _inv
+except ImportError:
+    _cholesky_lo = _inv = None
 
 __all__ = [
     "CPMap",
@@ -79,7 +83,7 @@ def _as_readonly_complex(a, name):
 def hermitian_part(X):
     """Return (X + X^dag)/2, the Hermitian part of a square matrix."""
     X = np.asarray(X)
-    return (X + X.conj().T) / 2
+    return _halved_hermitian(X.astype(np.result_type(X, 0.5)))
 
 
 def _check_blocks(blocks, total, name):
@@ -146,12 +150,10 @@ class _WeightMap(CPMap):
     """
 
     def __init__(self, root, ops, r):
-        root = np.asarray(root, dtype=np.float64)
-        ops = np.asarray(ops, dtype=np.intp)
-        weights = root ** 2
-        for arr in (root, ops, weights):
-            arr.setflags(write=False)
-        self.root, self.ops, self.weights, self._r = root, ops, weights, int(r)
+        self.root, self.ops, self.weights = _readonly(
+            np.asarray(root, dtype=np.float64), np.asarray(ops, dtype=np.intp),
+            np.square(root, dtype=np.float64))
+        self._r = int(r)
 
     m = property(lambda self: self.root.shape[0], doc=CPMap.m.__doc__)
     n = property(lambda self: self.root.shape[1], doc=CPMap.n.__doc__)
@@ -258,6 +260,11 @@ def _identity(d):
     return eye
 
 
+@functools.lru_cache(maxsize=64)
+def _unit(d):  # the read-only all-ones vector of length d, one per d
+    return _readonly(np.ones(d))[0]
+
+
 @dataclass(frozen=True, eq=False)
 class MarginalSpec:
     """Target spectra for the two marginals.
@@ -334,6 +341,10 @@ class MarginalSpec:
 
     def normalized(self):
         """Rescale so both spectra sum to 1; returns (spec, original sum)."""
+        return self._normalized  # computed once: the spec is immutable
+
+    @functools.cached_property
+    def _normalized(self):
         s = float(self.p.sum())
         if s <= 0:
             raise ValueError("cannot normalize an all-zero spectrum")
@@ -369,6 +380,20 @@ class ScalingPair:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
 
+    @classmethod
+    def _of_diagonals(cls, g, h):
+        """ScalingPair(np.diag(g), np.diag(h)), its checks run on g and h."""
+        for name, v in (("g", g), ("h", h)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} contains non-finite entries")
+        pair = object.__new__(cls)
+        for name, v in (("g", g), ("h", h)):
+            if not np.abs(v).min() > 0:
+                raise NotInvertible(f"{name} is numerically singular")
+            object.__setattr__(pair, name, _readonly(
+                np.diag(v.astype(np.complex128, copy=False)))[0])
+        return pair
+
 
 def _is_diagonal(X):
     """Whether the square matrix X is zero off its diagonal."""
@@ -381,9 +406,9 @@ def _singular_range(X):
     A diagonal X, or a 1-d X standing for the diagonal matrix it is the
     diagonal of, has them read off |diag| instead of an SVD.
     """
-    d = X if X.ndim == 1 else np.diagonal(X)
     if X.ndim == 1 or _is_diagonal(X):
-        return np.abs(d).max(), np.abs(d).min()
+        d = np.abs(X if X.ndim == 1 else np.diagonal(X))
+        return d.max(), d.min()
     sv = np.linalg.svd(X, compute_uv=False)
     return sv[0], sv[-1]
 
@@ -423,11 +448,13 @@ def scale(T, pair):
 def _halved_hermitian(X):
     """hermitian_part of X, formed in X (a fresh array).
 
-    Halving by * 0.5 gives the values of hermitian_part's / 2 on finite
-    entries; only the sign of an exact zero part can differ.
+    Halving each real and imaginary part by a real * 0.5 keeps an infinite
+    part (a complex / 2 or * 0.5 makes it inf + nan j) and otherwise gives
+    the values of / 2, up to the sign of a zero.
     """
     X += X.conj().T
-    X *= 0.5
+    for part in (X.real, X.imag) if X.dtype.kind == "c" else (X,):
+        part *= 0.5
     return X
 
 
@@ -482,7 +509,11 @@ def _cholesky(X):
     without its wrapper cost; its diagonal is real and at most
     sqrt(max X_ii), so its sum is finite exactly when every entry is.
     """
-    L = _umath_linalg.cholesky_lo(X, signature="D->D")
+    try:
+        L = (np.linalg.cholesky(X) if _cholesky_lo is None
+             else _cholesky_lo(X, signature="D->D"))
+    except np.linalg.LinAlgError:  # the wrapper's verdict: not PD
+        return None
     return L if math.isfinite(L.diagonal().real.sum()) else None
 
 
@@ -494,7 +525,7 @@ def _upper_inverse(U):
     column below each pivot is exactly zero, so it never pivots and the
     inverse keeps U's exact zeros.
     """
-    return _umath_linalg.inv(U, signature="D->D")
+    return np.linalg.inv(U) if _inv is None else _inv(U, signature="D->D")
 
 
 def balance_factor(S, block_sizes=None):

@@ -53,9 +53,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _VERDICTS = {SUCCESS: FEASIBLE, ERROR_NOT_PD: INFEASIBLE}
 
 def _subset_sums(v):
-    sums = np.zeros(1, dtype=np.float64)
-    for x in v:
-        sums = np.concatenate([sums, sums + float(x)])
+    """Subset sums of v; entry k adds the v[i] with bit i set, in order."""
+    sums = np.zeros(2 ** v.size)
+    for i, x in enumerate(v.tolist()):
+        np.add(sums[:1 << i], x, out=sums[1 << i:2 << i])
     return sums
 
 
@@ -78,10 +79,8 @@ def certificate_epsilon(M):
     best = math.inf
     step = max(1, 2**22 // sums_p.size)
     for i in range(0, sums_q.size, step):
-        diff = np.abs(target - sums_q[i:i + step, None] - sums_p[None, :])
-        nonzero = diff[diff > tol]
-        if nonzero.size:
-            best = min(best, float(nonzero.min()))
+        diff = np.abs(target - sums_q[i:i + step, None] - sums_p)
+        best = min(best, float(diff.min(where=diff > tol, initial=math.inf)))
     if not math.isfinite(best):
         raise ValueError("all subset margins vanish; spectra are degenerate")
     return best / (math.sqrt(M.m) + math.sqrt(M.n))

@@ -229,12 +229,18 @@ def ds_distance(T, M):
     return layout.ds(primal, dual, M)
 
 
+def _min_positive(a):
+    """The smallest positive entry of the nonnegative vector a; inf if none."""
+    low = a.min()
+    return low if low > 0 else a.min(where=a > 0, initial=math.inf)
+
+
 def ds_threshold(epsilon, M):
     """eps^2 * min over positive spectrum entries; SUCCESS certifies eps-scaling."""
-    positives = np.concatenate([M.p[M.p > 0], M.q[M.q > 0]])
-    if positives.size == 0:
+    low = min(_min_positive(M.p), _min_positive(M.q))
+    if low == math.inf:
         raise ValueError("spectra are identically zero")
-    return float(epsilon) ** 2 * float(positives.min())
+    return float(epsilon) ** 2 * float(low)
 
 
 def log_capacity_change_factor(pair, M):
@@ -452,7 +458,7 @@ class _Stack:
     """The dense layout: the (r, m, n) Kraus stack and square factors.
 
     marginal, balance and congruence are the three operations _iterate
-    runs on a map; eye, mul, matrix and factor compose factors and convert
+    runs on a map; eye, mul, factor and pair compose factors and convert
     them, ds, log_det and above_floor read marginals, and gaussian and
     start form a solve's start.  Each is the literal dense product.
     """
@@ -460,18 +466,9 @@ class _Stack:
     mul = staticmethod(np.matmul)
     log_det = staticmethod(_log_det)
     above_floor = staticmethod(cpmap._above_floor)
-
-    @staticmethod
-    def matrix(f):
-        """The square matrix of the factor f, and the factor of a square
-        matrix: a factor is its own matrix."""
-        return f
-
-    factor = matrix
-
-    @staticmethod
-    def eye(d):
-        return np.eye(d, dtype=np.complex128)
+    eye = staticmethod(cpmap._identity)
+    factor = staticmethod(np.asarray)  # a factor is its own matrix
+    pair = cpmap.ScalingPair
 
     @staticmethod
     def gaussian(rng, slices, d):
@@ -524,13 +521,14 @@ class _Diagonal:
     the vector of its diagonal: both marginals of every diagonal scaling
     are exactly diagonal, T(diag p) = diag(W p) and T*(diag q) =
     diag(W^T q), so lambda_min(S) = min S_ii, a balance factor is
-    1/sqrt(S_ii) and its congruence a row or column rescaling of W.
+    1/sqrt(S_ii) and its congruence a row or column rescaling of W.  A
+    step's balanced side is the shared read-only cpmap._unit(d).
     """
 
-    matrix = staticmethod(np.diag)
     factor = staticmethod(np.diagonal)
     mul = staticmethod(np.multiply)
-    eye = staticmethod(np.ones)
+    eye = staticmethod(cpmap._unit)
+    pair = cpmap.ScalingPair._of_diagonals
 
     @staticmethod
     def gaussian(rng, slices, d):
@@ -558,12 +556,12 @@ class _Diagonal:
 
     @staticmethod
     def balance(S, a, blocks):
-        if not _Diagonal.above_floor(S):
+        if not S.min() > 1e-12 * float(S.sum()) / S.size:  # above_floor
             raise NotPositiveDefinite(float(S.min()) if np.isfinite(S).all()
                                       else math.nan)
         # inc S inc is the identity, up to one rounding that is dropped.
         inc = 1.0 / np.sqrt(S)
-        return inc, 2.0 * float(np.dot(a, np.log(inc))), np.ones(S.size), 0.0
+        return inc, 2.0 * float(np.dot(a, np.log(inc))), cpmap._unit(S.size), 0.0
 
     @staticmethod
     def congruence(W, f, output):
@@ -577,9 +575,14 @@ class _Diagonal:
         """ds_from_marginals of diagonal marginals, given as their diagonals.
 
         Their off-diagonal entries are exact zeros, which add nothing to
-        ds under any blocks, so only the 1 x 1 terms remain."""
-        return (float(np.dot(M.p, (dual - 1.0) ** 2))
-                + float(np.dot(M.q, (primal - 1.0) ** 2)))
+        ds under any blocks, so only the 1 x 1 terms remain; a side that
+        is a balanced _unit vector adds exactly 0.0 and is skipped."""
+        ds = 0.0
+        if dual is not cpmap._unit(dual.size):
+            ds = float(np.dot(M.p, (dual - 1.0) ** 2))
+        if primal is not cpmap._unit(primal.size):
+            ds += float(np.dot(M.q, (primal - 1.0) ** 2))
+        return ds
 
 
 def _layout(T, M, pair=None):

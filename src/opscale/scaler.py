@@ -23,10 +23,11 @@ g0^dag T h0 in the layout relmetrics._layout picks for the restricted
 instance: the raw (r, m, n) Kraus stack, or the weight matrix of a map
 held as one (build_matrix_cpmap's) under 1 x 1 blocks, which never forms
 the stack and whose start and factors stay diagonal vectors, multiplied
-entrywise.  The layout draws the start, forms g0^dag T h0 and composes
-the factors, so the solve body reads the same in both.  It composes the
-last iterate with the start, lifts it back with the identity off the
-support, and validates only the ScalingPair it returns.  A SUCCESS is
+entrywise.  The layout draws the start, forms g0^dag T h0, composes
+the factors and forms the validated ScalingPair of the last iterate and
+the start (the diagonal one checks the factor vectors), so the solve
+body reads the same in both; a partial support lifts that pair back with
+the identity off the support.  A SUCCESS is
 reported only after the returned pair's ds, recomputed once on the
 instance as given and in the layout _layout picks for it and the pair
 (so a weight-stored map scaled by a diagonal pair is read as W under any
@@ -310,7 +311,9 @@ def _solve(T, M, config, mode):
     operation of the layout.
     """
     _check_instance(T, M)
-    Tr, Mr, emb = project_to_support(T, M)
+    # on full support there is nothing to restrict or lift
+    Tr, Mr, emb = ((T, M, None) if M.p.all() and M.q.all()
+                   else project_to_support(T, M))
     budget, trace = _resolve_budget(Tr, Mr, config, mode)
     threshold = ds_threshold(config.epsilon, M)
     Mhat, s = Mr.normalized()
@@ -319,8 +322,8 @@ def _solve(T, M, config, mode):
     # is off by about one unit roundoff, ds (weights at most 1) stays below.
     floor = _UNIT_ROUNDOFF_SQ * (Mr.m + Mr.n) ** 2
     layout, X = relmetrics._layout(Tr, Mr)
-    g0, h0 = (layout.eye(d) for d in (Mr.m, Mr.n))
-    gh = [layout.eye(d) for d in (Mr.m, Mr.n)]  # the loop rebinds its entries
+    g0, h0 = layout.eye(Mr.m), layout.eye(Mr.n)
+    gh = [g0, h0]  # read-only; the loop rebinds its entries
     ds_list = []
     steps = 0
     min_eig = None
@@ -374,14 +377,13 @@ def _solve(T, M, config, mode):
             min_eig = s * err.min_eigenvalue
         root = math.sqrt(s)  # h takes the normalization back
         try:
-            pair = ScalingPair(layout.matrix(layout.mul(g0, gh[0])),
-                               layout.matrix(layout.mul(h0, gh[1] / root)))
+            pair = layout.pair(layout.mul(g0, gh[0]),
+                               layout.mul(h0, gh[1] / root))
         except NotInvertible:  # singular to working precision: the start
-            pair = ScalingPair(layout.matrix(g0), layout.matrix(
-                layout.mul(h0, layout.eye(Mr.n) / root)))
+            pair = layout.pair(g0, layout.mul(h0, layout.eye(Mr.n) / root))
             if status != ERROR_NOT_PD:
                 status = ERROR_BUDGET
-        if not emb.full:
+        if emb is not None:
             pair = lift_pair(pair, emb)
         # The loop's ds is that of the iterated map; once the factors are
         # ill-conditioned, g^dag T h formed from the returned pair no longer

@@ -6,7 +6,8 @@ breaks one part of it: a wrong type, a ragged or wrongly nested array,
 an entry of 1e400 or NaN, a negative or empty spectrum, a bad block
 sum, a missing field, or a top level that is not a JSON object.  Fixed
 cases add every non-finite entry in every field and arrays nested past
-the JSON parser's recursion limit.
+the JSON parser's recursion limit.  A property pins the one-conversion
+reading of numeric fields to the per-number readers it stands in for.
 """
 
 import contextlib
@@ -16,10 +17,12 @@ import os
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from opscale.cli import main
+from opscale import cli
+from opscale.cli import main, parse_instance
 
 CPMAP = {"kind": "cpmap", "kraus": [[[1.0, 0.0], [0.0, 1.0]]],
          "p": [0.5, 0.5], "q": [0.5, 0.5]}
@@ -194,3 +197,92 @@ def test_valid_instance_at_any_scale_ends_in_a_report(case, c, epsilon):
     assert code in (0, 1, 2), err
     assert json.loads(out)["command"] == command
     assert "Traceback" not in err
+
+
+# Leaves of a numeric field: mostly finite numbers, and everything the
+# per-number reader refuses or reads differently from numpy.
+good_leaves = st.one_of(st.floats(-1e6, 1e6), st.integers(-2**53, 2**53),
+                        st.sampled_from([0, -0.0, 5e-324, 2**63 - 1]))
+bad_leaves = st.one_of(st.sampled_from([True, False, None, "1.5", "x", {}, [],
+                                        2**63, 2**64, 10**400, float("nan"),
+                                        float("inf"), -float("inf"), 1e308]),
+                       st.floats(), st.integers())
+leaves = st.one_of(good_leaves, good_leaves, good_leaves, bad_leaves)
+pairs = st.lists(leaves, min_size=2, max_size=2)
+
+
+@st.composite
+def field_values(draw, rank):
+    """A rank-d rectangular array of leaves (complex ones as [re, im]
+    pairs, plain numbers or a mix), with now and then a ragged row, a
+    wrong rank or an empty array."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+    entry = draw(st.sampled_from([leaves, pairs, st.one_of(leaves, pairs)]))
+
+    def build(dims):
+        if not dims:
+            return draw(entry)
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    value = build(shape)
+    how = draw(st.sampled_from(["keep"] * 6 + ["ragged", "nest", "empty"]))
+    if how == "ragged" and isinstance(value, list) and len(value) > 1:
+        value[-1] = value[-1][:-1] if isinstance(value[-1], list) else [value[-1]]
+    elif how == "nest":
+        value = [value]
+    elif how == "empty":
+        value = []
+    return value
+
+
+def _fingerprint(x):
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, dict):
+        return {k: _fingerprint(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_fingerprint(v) for v in x]
+    if hasattr(x, "__dict__"):
+        return type(x).__name__, _fingerprint(vars(x))
+    return x
+
+
+def _parsed(text):
+    try:
+        return _fingerprint(parse_instance(text))
+    except (cli.ParseError, cli.SchemaError) as err:
+        return type(err).__name__, str(err)
+
+
+RANKS = {"kraus": 3, "matrix": 2, "vectors": 2, "spectra": 2}
+
+
+def assert_read_as_by_the_per_number_readers(instance):
+    # one array conversion per field, or the per-number readers alone: the
+    # same domain arrays, or the same error text
+    text = json.dumps(instance)
+    with mock.patch.object(cli, "_array", return_value=None):
+        expected = _parsed(text)
+    assert _parsed(text) == expected
+
+
+@given(st.sampled_from([(c, d) for c, bases in VALID.items() for d in bases]),
+       st.data())
+def test_numeric_fields_read_as_by_the_per_number_readers(case, data):
+    _command, instance = case
+    field = data.draw(st.sampled_from([f for f in instance if f != "kind"]))
+    assert_read_as_by_the_per_number_readers(
+        dict(instance, **{field: data.draw(field_values(RANKS.get(field, 1)))}))
+
+
+# What numpy reads without an error and the per-number reader refuses, or
+# reads in a form one conversion cannot: bools, numeric strings, integers
+# past int64, non-finite numbers, and [re, im] pairs mixed with numbers.
+@pytest.mark.parametrize("field, value", [
+    ("p", [True, 0.5]), ("p", ["0.5", 0.5]), ("p", [2**63, 1]),
+    ("p", [2**64, 1]), ("p", [10**400, 1]), ("p", [float("nan"), 0.5]),
+    ("kraus", [[[1.0, 0.0], [0.0, False]]]), ("kraus", [[[1.0, [0, 1]], [0, 1]]]),
+    ("kraus", [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]), ("kraus", [[[1, "1"], [0, 1]]]),
+])
+def test_one_conversion_refuses_what_numpy_reads_differently(field, value):
+    assert_read_as_by_the_per_number_readers(dict(CPMAP, **{field: value}))

@@ -75,6 +75,27 @@ class TestApply:
             dual_apply(T, np.eye(2))
 
 
+class TestHermitianPart:
+    def test_infinite_real_part_is_halved_without_a_warning(self):
+        # Halving by * 0.5 keeps inf + 0j; a complex division by 2 made it
+        # inf + nan j with an "invalid value" RuntimeWarning (an error here)
+        out = hermitian_part(np.array([[np.inf + 0j]]))
+        assert out.dtype == np.complex128
+        assert (out[0, 0].real, out[0, 0].imag) == (np.inf, 0.0)
+
+    @pytest.mark.parametrize("X", [
+        np.array([[1, 2], [3, 4]]),
+        np.array([[1.5, -2.0], [0.25, 4.0]]),
+        np.array([[1 + 2j, 3 - 1j], [0.5j, -2.0]]),
+        np.array([[1.5, 2.5]], dtype=np.float32).T @ np.ones((1, 2), np.float32),
+    ], ids=["int", "float", "complex", "float32"])
+    def test_values_and_dtype_are_those_of_the_division(self, X):
+        expected = (X + X.conj().T) / 2
+        out = hermitian_part(X)
+        assert out.dtype == expected.dtype
+        npt.assert_array_equal(out, expected)
+
+
 class TestScale:
     def test_identity_pair_is_noop(self):
         rng = np.random.default_rng(6)

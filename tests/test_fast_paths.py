@@ -22,7 +22,13 @@ capacity estimate by its definition (helpers.estimate_capacity_literal)
 for estimate_capacity's reading of the shared loop, and the
 triangular solve of the precomposed map g0^dag T h0 for general_scale
 on a full-support instance (exact equality), and the dense-stack loop
-for the diagonal layout that matrix maps run in.
+for the diagonal layout that matrix maps run in.  The per-call trims of
+a small solve are pinned bit for bit to the code they replace: the pair
+checked on its factor vectors to ScalingPair of their diagonal matrices,
+ds_threshold to its concatenation, the diagonal ds that skips a balanced
+side to the two-sided sum, the cached normalized spec to a fresh one, the
+certificate's subset sums to the concatenation loop, and the Cholesky
+and inverse without numpy's private gufuncs to the gufuncs.
 """
 
 import itertools
@@ -87,7 +93,8 @@ from opscale import (
     singular_floor,
     triangular_scale,
 )
-from opscale import apps, cpmap, relmetrics, scaler
+from opscale import apps, cpmap, feasibility, relmetrics, scaler
+from opscale.exceptions import NotInvertible
 from opscale.apps import _majorizes
 from opscale.cpmap import _block_plan
 from opscale.relmetrics import _iterate, _log_det
@@ -199,6 +206,25 @@ def test_factorizations_have_the_bits_of_numpy_wrappers(d, exp10, seed):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(singular - np.eye(d))
     assert cpmap._cholesky(singular - np.eye(d)) is None
+
+
+@given(st.integers(1, 8), st.integers(-200, 200), seeds)
+def test_factorizations_without_private_gufuncs_keep_their_bits(d, exp10,
+                                                                 seed):
+    # a numpy without numpy.linalg._umath_linalg's gufuncs runs the wrappers
+    rng = np.random.default_rng(seed)
+    S = cpmap.hermitian_part(random_pd(rng, d) * 10.0**exp10)
+    A = random_complex(rng, (d, d + 1))
+    singular = A[:, :-2] @ A[:, :-2].conj().T if d > 1 else np.zeros((1, 1))
+    bad = S.copy()
+    bad[-1, -1] = np.nan
+    cases = (S, singular - np.eye(d), bad)
+    expected = [cpmap._cholesky(X) for X in cases] + [balance_factor(S)]
+    with mock.patch.multiple(cpmap, _cholesky_lo=None, _inv=None):
+        got = [cpmap._cholesky(X) for X in cases] + [balance_factor(S)]
+    assert expected[1] is None and expected[2] is None
+    assert [None if x is None else x.tobytes() for x in got] == \
+        [None if x is None else x.tobytes() for x in expected]
 
 
 @given(st.integers(1, 8),
@@ -840,3 +866,111 @@ def test_majorization_decides_polymatroid_membership_of_gaussian_frames(pq,
     p_pos = p[p > 0]
     U = random_complex(np.random.default_rng(seed), (q_pos.size, p_pos.size))
     assert polymatroid_membership(ForsterInstance(U, p_pos, q_pos)) == majorized
+
+
+# ---------------------------------------------------------------------------
+# The per-call trims of a small solve, bit for bit against what they replace
+
+diagonal_entries = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e308, np.inf, np.nan]))
+
+
+@st.composite
+def factor_vectors(draw):
+    """A real or complex vector of 1 to 4 entries, zeros and non-finite
+    parts included."""
+    size = draw(st.integers(1, 4))
+    re = np.array(draw(st.lists(diagonal_entries, min_size=size, max_size=size)))
+    if not draw(st.booleans()):
+        return re
+    v = np.empty(size, dtype=np.complex128)
+    v.real = re
+    v.imag = draw(st.lists(diagonal_entries, min_size=size, max_size=size))
+    return v
+
+
+def _pair_outcome(make, g, h):
+    try:
+        pair = make(g, h)
+    except (ValueError, NotInvertible) as err:
+        return type(err), str(err)
+    return [(X.dtype, X.shape, X.tobytes(), X.flags.writeable)
+            for X in (pair.g, pair.h)]
+
+
+@given(factor_vectors(), factor_vectors())
+def test_pair_of_diagonals_is_the_pair_of_their_matrices(g, h):
+    expected = _pair_outcome(lambda g, h: ScalingPair(np.diag(g), np.diag(h)),
+                             g, h)
+    assert _pair_outcome(ScalingPair._of_diagonals, g, h) == expected
+    assert _pair_outcome(relmetrics._Diagonal.pair, g, h) == expected
+
+
+def _zero_tailed(rng, size, zeros):
+    return np.concatenate([rng.uniform(0.0, 2.0, size - zeros), np.zeros(zeros)])
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.integers(0, 5),
+       st.floats(1e-300, 1.0), seeds)
+def test_ds_threshold_matches_concatenation(m, n, p_zeros, q_zeros, eps, seed):
+    rng = np.random.default_rng(seed)
+    M = MarginalSpec(_zero_tailed(rng, n, min(p_zeros, n)),
+                     _zero_tailed(rng, m, min(q_zeros, m)), (1,) * n, (1,) * m)
+    positives = np.concatenate([M.p[M.p > 0], M.q[M.q > 0]])
+    if positives.size == 0:
+        with pytest.raises(ValueError, match="identically zero"):
+            relmetrics.ds_threshold(eps, M)
+        return
+    expected = float(eps) ** 2 * float(positives.min())
+    assert relmetrics.ds_threshold(eps, M) == expected
+    if M.p.any():
+        Mhat, s = M.normalized()
+        positives = np.concatenate([Mhat.p[Mhat.p > 0], Mhat.q[Mhat.q > 0]])
+        assert relmetrics.ds_threshold(eps, Mhat) == \
+            float(eps) ** 2 * float(positives.min())
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from(["primal", "dual",
+                                                              "both", None]),
+       st.floats(1e-3, 1e3), seeds)
+def test_diagonal_ds_skipping_a_balanced_side_is_the_two_sided_sum(m, n, unit,
+                                                                  scale, seed):
+    rng = np.random.default_rng(seed)
+    M = MarginalSpec(rng.uniform(0.0, scale, n), rng.uniform(0.0, scale, m),
+                     (1,) * n, (1,) * m)
+    primal = rng.uniform(0.0, 2.0, m)
+    dual = rng.uniform(0.0, 2.0, n)
+    if unit in ("primal", "both"):
+        primal = cpmap._unit(m)
+    if unit in ("dual", "both"):
+        dual = cpmap._unit(n)
+    # the two-sided sum, on copies that are not the shared unit vectors
+    expected = (float(np.dot(M.p, (dual.copy() - 1.0) ** 2))
+                + float(np.dot(M.q, (primal.copy() - 1.0) ** 2)))
+    assert relmetrics._Diagonal.ds(primal, dual, M) == expected
+
+
+@given(flag_structures, flag_structures, st.integers(-30, 30), seeds)
+def test_cached_normalized_spec_is_a_fresh_computation(p_blocks, q_blocks,
+                                                      exp10, seed):
+    rng = np.random.default_rng(seed)
+    M = random_blocked_spec(rng, p_blocks, q_blocks)
+    M = MarginalSpec(M.p * 10.0**exp10, M.q * 10.0**exp10, p_blocks, q_blocks)
+    Mhat, s = M.normalized()
+    assert M.normalized()[0] is Mhat
+    s_fresh = float(M.p.sum())
+    assert s == s_fresh
+    assert Mhat.p.tobytes() == (M.p / s_fresh).tobytes()
+    assert Mhat.q.tobytes() == (M.q / s_fresh).tobytes()
+    assert (Mhat.p_blocks, Mhat.q_blocks) == (p_blocks, q_blocks)
+    twin = MarginalSpec(M.p, M.q, p_blocks, q_blocks).normalized()[0]
+    assert twin is not Mhat and twin.p.tobytes() == Mhat.p.tobytes()
+
+
+@given(st.lists(st.floats(0.0, 1e300), min_size=0, max_size=12))
+def test_subset_sums_match_concatenation_loop(v):
+    sums = np.zeros(1)
+    for x in v:
+        sums = np.concatenate([sums, sums + float(x)])
+    assert feasibility._subset_sums(np.array(v)).tobytes() == sums.tobytes()

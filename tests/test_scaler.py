@@ -464,7 +464,7 @@ def test_unformable_last_pair_falls_back_to_the_start(monkeypatch, solve,
                 raise NotInvertible("g is numerically singular")
             super().__init__(g, h)
 
-    monkeypatch.setattr(scaler, "ScalingPair", UnformableUnlessStart)
+    monkeypatch.setattr(relmetrics._Stack, "pair", UnformableUnlessStart)
     res = solve(T, M, config)
     assert len(refused) == 1
     assert res.status == fallback
