@@ -83,7 +83,11 @@ def _as_readonly_complex(a, name):
 def hermitian_part(X):
     """Return (X + X^dag)/2, the Hermitian part of a square matrix."""
     X = np.asarray(X)
-    return _halved_hermitian(X.astype(np.result_type(X, 0.5)))
+    out = X.astype(np.result_type(X, 0.5))
+    out += out.conj().T
+    for part in (out.real, out.imag) if out.dtype.kind == "c" else (out,):
+        part *= 0.5  # a real halving keeps inf; a complex one gives inf + nan j
+    return out
 
 
 def _check_blocks(blocks, total, name):
@@ -448,13 +452,11 @@ def scale(T, pair):
 def _halved_hermitian(X):
     """hermitian_part of X, formed in X (a fresh array).
 
-    Halving each real and imaginary part by a real * 0.5 keeps an infinite
-    part (a complex / 2 or * 0.5 makes it inf + nan j) and otherwise gives
-    the values of / 2, up to the sign of a zero.
+    One complex * 0.5, cheaper here than hermitian_part's two real ones,
+    gives its values on finite entries, up to the sign of a zero part.
     """
     X += X.conj().T
-    for part in (X.real, X.imag) if X.dtype.kind == "c" else (X,):
-        part *= 0.5
+    X *= 0.5
     return X
 
 

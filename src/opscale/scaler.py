@@ -23,11 +23,10 @@ g0^dag T h0 in the layout relmetrics._layout picks for the restricted
 instance: the raw (r, m, n) Kraus stack, or the weight matrix of a map
 held as one (build_matrix_cpmap's) under 1 x 1 blocks, which never forms
 the stack and whose start and factors stay diagonal vectors, multiplied
-entrywise.  The layout draws the start, forms g0^dag T h0, composes
-the factors and forms the validated ScalingPair of the last iterate and
-the start (the diagonal one checks the factor vectors), so the solve
-body reads the same in both; a partial support lifts that pair back with
-the identity off the support.  A SUCCESS is
+entrywise.  The layout draws the start, forms g0^dag T h0, composes the
+factors and validates the returned pair (the diagonal one on its factor
+vectors), so the solve body reads the same in both; a partial support
+lifts that pair back with the identity off the support.  A SUCCESS is
 reported only after the returned pair's ds, recomputed once on the
 instance as given and in the layout _layout picks for it and the pair
 (so a weight-stored map scaled by a diagonal pair is read as W under any
