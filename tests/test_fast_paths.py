@@ -925,7 +925,7 @@ def test_ds_threshold_matches_concatenation(m, n, p_zeros, q_zeros, eps, seed):
     expected = float(eps) ** 2 * float(positives.min())
     assert relmetrics.ds_threshold(eps, M) == expected
     if M.p.any():
-        Mhat, s = M.normalized()
+        Mhat = M.normalized()[0]
         positives = np.concatenate([Mhat.p[Mhat.p > 0], Mhat.q[Mhat.q > 0]])
         assert relmetrics.ds_threshold(eps, Mhat) == \
             float(eps) ** 2 * float(positives.min())
